@@ -6,6 +6,14 @@ map.  With non-unit weights the plain transposes are replaced by adjoints
 with respect to the weighted inner products; the resulting operator is
 self-adjoint for those products but not symmetric as a raw matrix, so
 spectral work symmetrizes it by the similarity W^(1/2) L W^(-1/2).
+
+One assembly serves the simplicial and the sheaf Laplacian.  Each side
+of dimension n is a map S into it and contributes S S*, where
+S* = W_other^(-1) S^T W_n.  hodge_laplacian takes adjoints on the chain
+side (S = d_n* below, d_(n+1) above), sheaf_laplacian on the cochain side
+(S = delta_(n-1) below, delta_n* above); so with weights W,
+sheaf_laplacian(constant_sheaf(c), n, W) is hodge_laplacian(c, n, W^(-1))
+transposed.  With unit weights the two are equal.
 """
 
 from __future__ import annotations
@@ -68,9 +76,11 @@ class InnerProductWeights:
 class HodgeOperators:
     """Up, down, and combined Laplacians at one dimension.
 
-    weight_vector is the diagonal inner product on this dimension's chain
-    space; the boundary/adjoint maps used to assemble the parts are kept
-    for projections and kernel checks (None where the chain complex ends).
+    weight_vector is the diagonal inner product on this dimension's space.
+    from_below and from_above are the maps S into this space whose products
+    S S* give down and up, shaped (size, N_(n-1)) and (size, N_(n+1)); their
+    images hold the irrotational and solenoidal parts of a signal.  They
+    are None where the complex ends.
     """
 
     dimension: int
@@ -78,10 +88,8 @@ class HodgeOperators:
     down: SparseMatrix
     full: SparseMatrix
     weight_vector: np.ndarray
-    boundary_up: SparseMatrix | None = None
-    boundary_down: SparseMatrix | None = None
-    adjoint_up: SparseMatrix | None = None
-    adjoint_down: SparseMatrix | None = None
+    from_below: SparseMatrix | None = None
+    from_above: SparseMatrix | None = None
 
     @property
     def size(self) -> int:
@@ -100,6 +108,26 @@ def inner_product(
     return float(np.sum(weights * x.values * y.values))
 
 
+def _adjoint(a: SparseMatrix, w_src: np.ndarray, w_dst: np.ndarray) -> SparseMatrix:
+    """Adjoint W_src^(-1) a^T W_dst of a map a from the w_src to the w_dst space."""
+    adj = (a.toarray().T * w_dst[np.newaxis, :]) / w_src[:, np.newaxis]
+    return SparseMatrix.from_dense(adj, Field.REAL)
+
+
+def _assemble(
+    n: int,
+    w_n: np.ndarray,
+    below: tuple[SparseMatrix, SparseMatrix] | None,
+    above: tuple[SparseMatrix, SparseMatrix] | None,
+) -> HodgeOperators:
+    """Laplacians from an (S, S*) pair per side; None contributes a zero block."""
+    zero = SparseMatrix.zeros(len(w_n), len(w_n), Field.REAL)
+    down = compose(*below) if below else zero
+    up = compose(*above) if above else zero
+    from_below, from_above = below and below[0], above and above[0]
+    return HodgeOperators(n, up, down, add(up, down), w_n, from_below, from_above)
+
+
 def adjoint_boundary(
     c: SimplicialComplex, n: int, w: InnerProductWeights | None = None
 ) -> SparseMatrix:
@@ -111,11 +139,11 @@ def adjoint_boundary(
     if not 1 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"boundary dimension {n} outside 1..{c.max_dim}")
     w = w or InnerProductWeights.ones()
-    d = boundary_matrix(c, n, Field.REAL).toarray()
-    w_lo = w.vector(n - 1, c.n_simplices(n - 1))
-    w_hi = w.vector(n, c.n_simplices(n))
-    adj = (d.T * w_lo[np.newaxis, :]) / w_hi[:, np.newaxis]
-    return SparseMatrix.from_dense(adj, Field.REAL)
+    return _adjoint(
+        boundary_matrix(c, n, Field.REAL),
+        w.vector(n, c.n_simplices(n)),
+        w.vector(n - 1, c.n_simplices(n - 1)),
+    )
 
 
 def hodge_laplacian(
@@ -123,38 +151,22 @@ def hodge_laplacian(
 ) -> HodgeOperators:
     """Assemble up, down, and combined Laplacians on the n-chains.
 
-    Missing boundary maps (below dimension 0, above the top dimension)
-    contribute zero blocks.
+    down = d_n* d_n and up = d_(n+1) d_(n+1)*, adjoints taken on the chain
+    side (d* = W_n^(-1) d^T W_(n-1)).  Missing boundary maps (below
+    dimension 0, above the top dimension) contribute zero blocks.
     """
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
     w = w or InnerProductWeights.ones()
-    size = c.n_simplices(n)
-    boundary_up = adjoint_up = None
-    boundary_down = adjoint_down = None
+    w_n = w.vector(n, c.n_simplices(n))
+    below = above = None
     if n < c.max_dim:
-        boundary_up = boundary_matrix(c, n + 1, Field.REAL)
-        adjoint_up = adjoint_boundary(c, n + 1, w)
-        up = compose(boundary_up, adjoint_up)
-    else:
-        up = SparseMatrix.zeros(size, size, Field.REAL)
+        d = boundary_matrix(c, n + 1, Field.REAL)
+        above = (d, _adjoint(d, w.vector(n + 1, c.n_simplices(n + 1)), w_n))
     if n >= 1:
-        boundary_down = boundary_matrix(c, n, Field.REAL)
-        adjoint_down = adjoint_boundary(c, n, w)
-        down = compose(adjoint_down, boundary_down)
-    else:
-        down = SparseMatrix.zeros(size, size, Field.REAL)
-    return HodgeOperators(
-        dimension=n,
-        up=up,
-        down=down,
-        full=add(up, down),
-        weight_vector=w.vector(n, size),
-        boundary_up=boundary_up,
-        boundary_down=boundary_down,
-        adjoint_up=adjoint_up,
-        adjoint_down=adjoint_down,
-    )
+        d = boundary_matrix(c, n, Field.REAL)
+        below = (_adjoint(d, w_n, w.vector(n - 1, c.n_simplices(n - 1))), d)
+    return _assemble(n, w_n, below, above)
 
 
 def symmetrized(ops: HodgeOperators) -> np.ndarray:
@@ -211,7 +223,7 @@ def hodge_decompose(
     mutually orthogonal for the weighted inner product; tol bounds both
     the allowed orthogonality defect (relative to |s|^2) and the kernel
     residual of the harmonic part (relative to |s|), and violations raise
-    NumericalFailure.
+    NumericalFailure; a NaN or infinity in the signal fails them too.
     """
     if s.dimension != n:
         raise ShapeMismatch(f"signal dimension {s.dimension} != {n}")
@@ -224,12 +236,12 @@ def hodge_decompose(
     sqrt_w = np.sqrt(ops.weight_vector)
     values = s.values
 
-    if ops.adjoint_down is not None:
-        irrot = _weighted_projection(ops.adjoint_down.toarray(), values, sqrt_w)
+    if ops.from_below is not None:
+        irrot = _weighted_projection(ops.from_below.toarray(), values, sqrt_w)
     else:
         irrot = np.zeros_like(values)
-    if ops.boundary_up is not None:
-        solenoid = _weighted_projection(ops.boundary_up.toarray(), values, sqrt_w)
+    if ops.from_above is not None:
+        solenoid = _weighted_projection(ops.from_above.toarray(), values, sqrt_w)
     else:
         solenoid = np.zeros_like(values)
     harmonic = values - irrot - solenoid
@@ -237,10 +249,10 @@ def hodge_decompose(
     norm_sq = float(np.sum(ops.weight_vector * values * values))
     pair_bound = tol * norm_sq
     for a, b in ((irrot, harmonic), (irrot, solenoid), (harmonic, solenoid)):
-        if abs(float(np.sum(ops.weight_vector * a * b))) > pair_bound + 1e-300:
+        if not abs(float(np.sum(ops.weight_vector * a * b))) <= pair_bound + 1e-300:
             raise NumericalFailure("decomposition parts are not orthogonal")
     residual = ops.full.toarray() @ harmonic
-    if np.linalg.norm(residual) > tol * np.linalg.norm(values) + 1e-300:
+    if not np.linalg.norm(residual) <= tol * np.linalg.norm(values) + 1e-300:
         raise NumericalFailure("harmonic part is not in the Laplacian kernel")
 
     return (

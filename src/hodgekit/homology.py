@@ -2,10 +2,10 @@
 
 Betti numbers come straight from two boundary-matrix ranks per dimension:
 b_n = (#C_n - rank d_n) - rank d_{n+1}, with d_0 the zero map (every vertex
-is a cycle) and the map above the top dimension empty.  GF(2) elimination
-is exact and serves as the reference; real elimination is tolerance-based,
-and a disagreement between the two is reported as a diagnostic rather than
-silently resolved.
+is a cycle) and the map above the top dimension empty; each d_n is ranked
+once and used on both sides.  GF(2) elimination is exact and serves as the
+reference; real elimination is tolerance-based, and a disagreement between
+the two is reported as a diagnostic rather than silently resolved.
 """
 
 from __future__ import annotations
@@ -154,22 +154,12 @@ def replay_gf2_ops(
     return a
 
 
-def _boundary_rank(c: SimplicialComplex, n: int, field_tag: Field) -> int:
-    if n < 1 or n > c.max_dim:
-        return 0
-    m = boundary_matrix(c, n, field_tag)
-    if field_tag is Field.GF2:
-        return rank_gf2(m).rank
-    return rank_real(m).rank
-
-
 def betti(c: SimplicialComplex, field_tag: Field = Field.GF2) -> list[int]:
     """Betti numbers b_0..b_max: counts of n-dimensional voids."""
-    out = []
-    for n in range(c.max_dim + 1):
-        cycles = c.n_simplices(n) - _boundary_rank(c, n, field_tag)
-        out.append(cycles - _boundary_rank(c, n + 1, field_tag))
-    return out
+    rank = rank_gf2 if field_tag is Field.GF2 else rank_real
+    ranks = [rank(boundary_matrix(c, n, field_tag)).rank for n in range(1, c.max_dim + 1)]
+    ranks = [0, *ranks, 0]  # d_0 and the map above the top dimension are zero
+    return [c.n_simplices(n) - ranks[n] - ranks[n + 1] for n in range(c.max_dim + 1)]
 
 
 def betti_checked(c: SimplicialComplex) -> list[int]:

@@ -11,7 +11,8 @@ Formats (all JSON unless noted):
   matrix CSV  header row of column labels, first column of row labels,
               vertex labels joined by "-"
 
-Unknown fields are rejected everywhere.
+Unknown fields are rejected everywhere, and so are NaN, Infinity (both
+accepted by json.load) and integers beyond float range in any number.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import io as _io
 import json
 import csv
+import sys
 from typing import Any
 
 import numpy as np
@@ -29,6 +31,8 @@ from .errors import FormatError, HodgekitError
 from .filters import FilterSpec
 from .hodge import InnerProductWeights
 from .sheaf import Assignment, Sheaf
+
+FLOAT_MAX = sys.float_info.max
 
 
 def _require_keys(obj: dict, required: set[str], what: str, optional: set[str] = frozenset()) -> None:
@@ -51,10 +55,13 @@ def _int_list(value: Any, what: str) -> list[int]:
 
 
 def _float_list(value: Any, what: str) -> list[float]:
+    # The range test rejects NaN and Infinity, and compares integers exactly,
+    # so one beyond float range is rejected instead of overflowing float().
     if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+        isinstance(v, (int, float)) and not isinstance(v, bool) and -FLOAT_MAX <= v <= FLOAT_MAX
+        for v in value
     ):
-        raise FormatError(f"{what} must be a list of numbers")
+        raise FormatError(f"{what} must be a list of finite numbers")
     return [float(v) for v in value]
 
 
@@ -93,10 +100,11 @@ def parse_filter(obj: Any) -> FilterSpec:
         raise FormatError('"dim" must be a non-negative integer')
     if not isinstance(obj["alpha0"], (int, float)) or isinstance(obj["alpha0"], bool):
         raise FormatError('"alpha0" must be a number')
+    (alpha0,) = _float_list([obj["alpha0"]], '"alpha0"')
     down = _float_list(obj["down"], '"down"')
     up = _float_list(obj["up"], '"up"')
     try:
-        return FilterSpec(obj["dim"], float(obj["alpha0"]), tuple(down), tuple(up))
+        return FilterSpec(obj["dim"], alpha0, tuple(down), tuple(up))
     except ValueError as exc:
         raise FormatError(f"invalid filter: {exc}") from exc
 

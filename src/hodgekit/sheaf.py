@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     UnknownSimplex,
 )
-from .hodge import HodgeOperators, InnerProductWeights
+from .hodge import HodgeOperators, InnerProductWeights, _adjoint, _assemble
 from .homology import rank_real
 
 if TYPE_CHECKING:
@@ -233,44 +233,22 @@ def sheaf_laplacian(
 ) -> HodgeOperators:
     """Up, down, and combined sheaf Laplacians on the dim-n stalk space.
 
-    Weights are stalk-level diagonal inner products per dimension (length
-    equal to the stacked stalk dimension).  With the constant sheaf and
-    standard weights this is exactly the simplicial Hodge Laplacian.
+    down = delta_(n-1) delta_(n-1)* and up = delta_n* delta_n, adjoints
+    taken on the cochain side (delta* = W_n^(-1) delta^T W_(n+1)).  Weights
+    are stalk-level diagonal inner products per dimension (length equal to
+    the stacked stalk dimension).  With the constant sheaf and standard
+    weights this is exactly the simplicial Hodge Laplacian; with weights W
+    it is the transpose of hodge_laplacian(c, n, W^(-1)).
     """
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
     w = w or InnerProductWeights.ones()
-    size = sh.total_dim(n)
-    w_n = w.vector(n, size)
-    up_map = down_map = None
-    adjoint_up = adjoint_down = None
+    w_n = w.vector(n, sh.total_dim(n))
+    below = above = None
     if n < c.max_dim:
-        up_map = sheaf_coboundary(c, sh, n)
-        d = up_map.toarray()
-        w_hi = w.vector(n + 1, sh.total_dim(n + 1))
-        adj = (d.T * w_hi[np.newaxis, :]) / w_n[:, np.newaxis]
-        adjoint_up = SparseMatrix.from_dense(adj, Field.REAL)
-        up = SparseMatrix.from_dense(adj @ d, Field.REAL)
-    else:
-        up = SparseMatrix.zeros(size, size, Field.REAL)
+        d = sheaf_coboundary(c, sh, n)
+        above = (_adjoint(d, w_n, w.vector(n + 1, sh.total_dim(n + 1))), d)
     if n >= 1:
-        down_map = sheaf_coboundary(c, sh, n - 1)
-        e = down_map.toarray()
-        w_lo = w.vector(n - 1, sh.total_dim(n - 1))
-        adj = (e.T * w_n[np.newaxis, :]) / w_lo[:, np.newaxis]
-        adjoint_down = SparseMatrix.from_dense(adj, Field.REAL)
-        down = SparseMatrix.from_dense(e @ adj, Field.REAL)
-    else:
-        down = SparseMatrix.zeros(size, size, Field.REAL)
-    full = SparseMatrix.from_dense(up.toarray() + down.toarray(), Field.REAL)
-    return HodgeOperators(
-        dimension=n,
-        up=up,
-        down=down,
-        full=full,
-        weight_vector=w_n,
-        boundary_up=up_map,
-        boundary_down=down_map,
-        adjoint_up=adjoint_up,
-        adjoint_down=adjoint_down,
-    )
+        d = sheaf_coboundary(c, sh, n - 1)
+        below = (d, _adjoint(d, w.vector(n - 1, sh.total_dim(n - 1)), w_n))
+    return _assemble(n, w_n, below, above)

@@ -19,7 +19,7 @@ from hodgekit import (
     transpose,
 )
 from hodgekit import generators as gen
-from hodgekit.errors import DimensionOutOfRange, ShapeMismatch
+from hodgekit.errors import DimensionOutOfRange, NumericalFailure, ShapeMismatch
 
 from conftest import CORPUS
 
@@ -247,6 +247,12 @@ def test_decompose_shape_errors():
         hodge_decompose(Cochain(0, [1.0, 2, 3]), TRIANGLE_GRAPH, 1)
     with pytest.raises(ShapeMismatch):
         hodge_decompose(Cochain(1, [1.0, 2]), TRIANGLE_GRAPH, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decompose_non_finite_signal_is_numerical_failure(bad):
+    with pytest.raises(NumericalFailure):
+        hodge_decompose(Cochain(1, [1.0, bad, 2.0]), TRIANGLE_GRAPH, 1)
 
 
 def test_gradient_triangle_finite_differences():

@@ -76,6 +76,10 @@ def test_parse_signal_and_filter_validation():
     with pytest.raises(FormatError):
         io.parse_filter({"dim": 1, "alpha0": "x", "down": [], "up": []})
     with pytest.raises(FormatError):
+        io.parse_filter({"dim": 1, "alpha0": float("nan"), "down": [], "up": []})
+    with pytest.raises(FormatError):
+        io.parse_filter({"dim": 1, "alpha0": 10**400, "down": [], "up": []})
+    with pytest.raises(FormatError):
         io.parse_weights({"0": [1.0, -1.0]})
     with pytest.raises(FormatError):
         io.parse_weights({"zero": [1.0]})
@@ -197,6 +201,39 @@ def test_cli_decompose_impossible_tolerance_is_numerical_failure(
     )
     assert main(["decompose", torus_file, signal, "--dim", "1", "--tol", "0"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), 10**400])
+def test_cli_rejects_non_finite_signal(triangle_file, tmp_path, capsys, bad):
+    signal = write_json(tmp_path / "s.json", {"dim": 1, "values": [1.0, bad, 2.0]})
+    assert main(["decompose", triangle_file, signal, "--dim", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite numbers" in captured.err
+
+
+def test_cli_rejects_nan_weights(triangle_file, tmp_path, capsys):
+    weights = write_json(tmp_path / "w.json", {"1": [1.0, float("nan"), 1.0]})
+    assert main(["laplacian", triangle_file, "--dim", "1", "--weights", weights]) == 2
+    assert "finite numbers" in capsys.readouterr().err
+
+
+def test_cli_rejects_nan_sheaf_matrix(tmp_path, capsys):
+    complex_file, sheaf_file = shift_register_files(tmp_path)
+    sheaf = json.loads((tmp_path / "sheaf.json").read_text(encoding="utf-8"))
+    sheaf["restrictions"][0]["matrix"][0][1] = float("nan")
+    write_json(tmp_path / "sheaf.json", sheaf)
+    assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 2
+    assert "finite numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["down", "up"])
+def test_cli_rejects_infinite_filter_coefficient(triangle_file, tmp_path, capsys, field):
+    signal = write_json(tmp_path / "s.json", {"dim": 1, "values": [1.0, 2.0, 3.0]})
+    spec = {"dim": 1, "alpha0": 1.0, "down": [0.5], "up": [0.5]}
+    spec[field] = [0.5, float("inf")]
+    filter_file = write_json(tmp_path / "f.json", spec)
+    assert main(["filter", triangle_file, signal, filter_file]) == 2
+    assert "finite numbers" in capsys.readouterr().err
 
 
 def test_cli_filter(triangle_file, tmp_path, capsys):
