@@ -2,9 +2,10 @@
 
 The sparse matrix here is the carrier for every operator in the package:
 boundary maps, Laplacians, filters, and sheaf coboundaries.  Matrices are
-immutable values; all arithmetic is done in the tagged coefficient field
-(GF(2) with xor accumulation, or float64 with a construction-time zero
-threshold of 1e-12).
+immutable values held as coordinate arrays sorted by position.  Every
+operation builds its result through SparseMatrix.from_coo, which sums in
+the tagged field (mod 2 for GF(2), float64 with a zero threshold of 1e-12
+for the reals) and rejects NaN and infinite entries.
 """
 
 from __future__ import annotations
@@ -37,71 +38,86 @@ class Cochain:
     field: Field = Field.REAL
 
     def __post_init__(self) -> None:
-        dtype = np.uint8 if self.field is Field.GF2 else np.float64
-        vals = np.asarray(self.values, dtype=dtype)
-        if self.field is Field.GF2:
-            vals = vals % 2
-        object.__setattr__(self, "values", vals)
+        gf2 = self.field is Field.GF2
+        vals = np.asarray(self.values) % 2 if gf2 else self.values
+        object.__setattr__(self, "values", np.asarray(vals, np.uint8 if gf2 else np.float64))
 
     def __len__(self) -> int:
         return len(self.values)
 
 
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lay runs of the given lengths end to end: each slot's run and offset in it."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return run, offset
+
+
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Immutable triplet-form sparse matrix tagged with its field.
+    """Immutable coordinate-form sparse matrix tagged with its field.
 
-    GF(2) entries are exactly 1; real entries are finite and have magnitude
-    above REAL_ZERO_TOL.  Duplicate positions are summed in the field during
-    construction and zeros dropped.
+    row, col and data are read-only arrays sorted by (row, col) with no
+    position repeated.  GF(2) entries are exactly 1 (uint8); real entries
+    are float64 of magnitude above REAL_ZERO_TOL.  A NaN or infinite entry
+    raises ValueError in from_coo, which every constructor calls.
     """
 
     rows: int
     cols: int
-    entries: dict = field(repr=False)
+    row: np.ndarray = field(repr=False)
+    col: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
     field_tag: Field
 
     @classmethod
+    def from_coo(cls, rows: int, cols: int, row, col, data, field_tag: Field) -> SparseMatrix:
+        """Matrix from coordinate arrays in any order; repeats are summed in order.
+
+        GF(2) sums are reduced mod 2 and real sums with |v| <= REAL_ZERO_TOL
+        dropped.  Raises ShapeMismatch for a position outside rows x cols
+        and ValueError for a NaN or infinite sum.
+        """
+        row, col = (np.asarray(x, dtype=np.int64) for x in (row, col))
+        outside = (row < 0) | (row >= rows) | (col < 0) | (col >= cols)
+        if outside.any():
+            r, c = row[outside][0], col[outside][0]
+            raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
+        key, slot = np.unique(row * cols + col, return_inverse=True)
+        sums = np.bincount(slot, np.asarray(data, dtype=np.float64), len(key))
+        finite = np.isfinite(sums)
+        if not finite.all():
+            raise ValueError(f"non-finite entry at {divmod(int(key[~finite][0]), cols)}")
+        if field_tag is Field.GF2:
+            sums = sums.astype(np.int64) % 2
+        keep = ~(np.abs(sums) <= REAL_ZERO_TOL)
+        r, c = np.divmod(key[keep], max(cols, 1))
+        data_out = sums[keep].astype(np.uint8 if field_tag is Field.GF2 else np.float64)
+        for a in (r, c, data_out):
+            a.flags.writeable = False
+        return cls(int(rows), int(cols), r, c, data_out, field_tag)
+
+    @classmethod
     def from_entries(
-        cls,
-        rows: int,
-        cols: int,
-        triplets: Iterable[tuple[int, int, float]],
-        field_tag: Field,
+        cls, rows: int, cols: int, triplets: Iterable[tuple[int, int, float]], field_tag: Field
     ) -> SparseMatrix:
-        acc: dict[tuple[int, int], float] = {}
-        for r, c, v in triplets:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
-            acc[(r, c)] = acc.get((r, c), 0) + v
-        entries: dict[tuple[int, int], float] = {}
-        for pos, v in acc.items():
-            if field_tag is Field.GF2:
-                if int(v) % 2:
-                    entries[pos] = 1
-            elif abs(v) > REAL_ZERO_TOL:
-                if not np.isfinite(v):
-                    raise ValueError(f"non-finite entry at {pos}")
-                entries[pos] = float(v)
-        return cls(rows, cols, entries, field_tag)
+        triplets = list(triplets)
+        r, c, v = zip(*triplets) if triplets else ((), (), ())
+        return cls.from_coo(rows, cols, r, c, v, field_tag)
 
     @classmethod
     def from_dense(cls, array: np.ndarray, field_tag: Field) -> SparseMatrix:
         a = np.asarray(array)
-        rows, cols = a.shape
-        triplets = [
-            (int(r), int(c), a[r, c]) for r, c in zip(*np.nonzero(a))
-        ]
-        return cls.from_entries(rows, cols, triplets, field_tag)
+        r, c = np.nonzero(a)
+        return cls.from_coo(a.shape[0], a.shape[1], r, c, a[r, c], field_tag)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field_tag: Field) -> SparseMatrix:
-        return cls(rows, cols, {}, field_tag)
+        return cls.from_coo(rows, cols, (), (), (), field_tag)
 
     @classmethod
     def identity(cls, n: int, field_tag: Field) -> SparseMatrix:
-        value = 1 if field_tag is Field.GF2 else 1.0
-        return cls(n, n, {(i, i): value for i in range(n)}, field_tag)
+        return cls.from_coo(n, n, np.arange(n), np.arange(n), np.ones(n), field_tag)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,13 +125,16 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.data)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], float]:
+        """Read-only view {(row, col): value} in position order."""
+        return dict(zip(zip(self.row.tolist(), self.col.tolist()), self.data.tolist()))
 
     def toarray(self) -> np.ndarray:
-        dtype = np.uint8 if self.field_tag is Field.GF2 else np.float64
-        out = np.zeros((self.rows, self.cols), dtype=dtype)
-        for (r, c), v in self.entries.items():
-            out[r, c] = v
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.row, self.col] = self.data
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -135,9 +154,7 @@ class SparseMatrix:
 
 
 def transpose(m: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix(
-        m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()}, m.field_tag
-    )
+    return SparseMatrix.from_coo(m.cols, m.rows, m.col, m.row, m.data, m.field_tag)
 
 
 def boundary_matrix(c: SimplicialComplex, n: int, field_tag: Field) -> SparseMatrix:
@@ -151,14 +168,12 @@ def boundary_matrix(c: SimplicialComplex, n: int, field_tag: Field) -> SparseMat
         raise DimensionOutOfRange(
             f"boundary dimension {n} outside 1..{c.max_dim}"
         )
-    rows = c.n_simplices(n - 1)
     cols = c.n_simplices(n)
-    triplets = []
-    for j, s in enumerate(c.simplices(n)):
-        for i, f in enumerate(s.faces()):
-            value = 1 if field_tag is Field.GF2 else float((-1) ** i)
-            triplets.append((c.index(f), j, value))
-    return SparseMatrix.from_entries(rows, cols, triplets, field_tag)
+    faces = [c.index(f) for s in c.simplices(n) for f in s.faces()]
+    signs = np.tile((-1.0) ** np.arange(n + 1), cols)
+    return SparseMatrix.from_coo(
+        c.n_simplices(n - 1), cols, faces, np.repeat(np.arange(cols), n + 1), signs, field_tag
+    )
 
 
 def coboundary_matrix(c: SimplicialComplex, n: int, field_tag: Field) -> SparseMatrix:
@@ -183,30 +198,25 @@ def apply(m: SparseMatrix, x: Cochain, result_dim: int | None = None) -> Cochain
     if m.cols != len(x):
         raise ShapeMismatch(f"matrix has {m.cols} columns, cochain length {len(x)}")
     dim = x.dimension if result_dim is None else result_dim
-    if m.field_tag is Field.GF2:
-        out = np.zeros(m.rows, dtype=np.uint8)
-        for (r, c), _ in m.entries.items():
-            out[r] ^= x.values[c] & 1
-    else:
-        out = np.zeros(m.rows, dtype=np.float64)
-        for (r, c), v in m.entries.items():
-            out[r] += v * x.values[c]
+    out = np.bincount(m.row, m.data * x.values[m.col], m.rows)
     return Cochain(dim, out, m.field_tag)
 
 
 def compose(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Matrix product a @ b in the common field."""
+    """Matrix product a @ b in the common field: each a[i,k] meets row k of b."""
     if a.field_tag is not b.field_tag:
         raise FieldMismatch(
             f"cannot compose {a.field_tag.value} with {b.field_tag.value}"
         )
     if a.cols != b.rows:
         raise ShapeMismatch(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    if a.field_tag is Field.GF2:
-        prod = (a.toarray().astype(np.int64) @ b.toarray().astype(np.int64)) % 2
-    else:
-        prod = a.toarray() @ b.toarray()
-    return SparseMatrix.from_dense(prod, a.field_tag)
+    starts = np.searchsorted(b.row, np.arange(b.rows + 1))
+    lo = starts[a.col]
+    i, offset = _runs(starts[a.col + 1] - lo)
+    k = lo[i] + offset
+    return SparseMatrix.from_coo(
+        a.rows, b.cols, a.row[i], b.col[k], a.data[i] * b.data[k], a.field_tag
+    )
 
 
 def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -215,6 +225,5 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         raise FieldMismatch(f"cannot add {a.field_tag.value} and {b.field_tag.value}")
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    triplets = [(r, c, v) for (r, c), v in a.entries.items()]
-    triplets += [(r, c, v) for (r, c), v in b.entries.items()]
-    return SparseMatrix.from_entries(a.rows, a.cols, triplets, a.field_tag)
+    parts = [np.concatenate([getattr(a, k), getattr(b, k)]) for k in ("row", "col", "data")]
+    return SparseMatrix.from_coo(a.rows, a.cols, *parts, a.field_tag)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import generators, io
-from .chains import Cochain, Field, SparseMatrix, boundary_matrix
+from .chains import Cochain, Field, boundary_matrix
 from .errors import BadParams, HodgekitError, NumericalFailure
 from .filters import apply_filter, build_filter
 from .hodge import hodge_decompose, hodge_laplacian, symmetrized
@@ -74,9 +74,7 @@ def _cmd_laplacian(args) -> int:
 def _cmd_spectrum(args) -> int:
     c = _load_complex(args.complex)
     ops = hodge_laplacian(c, args.dim)
-    basis = eigendecompose(
-        SparseMatrix.from_dense(symmetrized(ops), Field.REAL), dimension=args.dim
-    )
+    basis = eigendecompose(symmetrized(ops), dimension=args.dim)
     lines = ["eigenvalue"] + [repr(float(v)) for v in basis.eigenvalues]
     _emit("\n".join(lines), args.output)
     return 0

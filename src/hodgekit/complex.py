@@ -137,27 +137,22 @@ class SimplicialComplex:
             t for t in self.simplices(s.dimension + 1) if want.issubset(t.vertices)
         )
 
+    def _edge_ends(self) -> np.ndarray:
+        """(#edges, 2) positions of each edge's endpoints in the vertex order."""
+        ends = np.array([e.vertices for e in self.simplices(1)], dtype=np.int64)
+        return np.searchsorted(self.vertices, ends.reshape(-1, 2))
+
     def adjacency_matrix(self) -> SparseMatrix:
         """Symmetric 0/1 vertex-to-vertex matrix; A[i,j] = 1 iff edge {i,j}."""
-        n = self.n_simplices(0)
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        entries = []
-        for edge in self.simplices(1):
-            i, j = (pos[v] for v in edge.vertices)
-            entries.append((i, j, 1.0))
-            entries.append((j, i, 1.0))
-        return SparseMatrix.from_entries(n, n, entries, Field.REAL)
+        n, ends = self.n_simplices(0), self._edge_ends()
+        ones = np.ones(2 * len(ends))
+        return SparseMatrix.from_coo(n, n, ends.ravel(), ends[:, ::-1].ravel(), ones, Field.REAL)
 
     def degree_matrix(self) -> SparseMatrix:
         """Diagonal matrix of vertex degrees (incident edge counts)."""
         n = self.n_simplices(0)
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        deg = [0] * n
-        for edge in self.simplices(1):
-            for v in edge.vertices:
-                deg[pos[v]] += 1
-        entries = [(i, i, float(d)) for i, d in enumerate(deg) if d]
-        return SparseMatrix.from_entries(n, n, entries, Field.REAL)
+        deg = np.bincount(self._edge_ends().reshape(-1), minlength=n)
+        return SparseMatrix.from_coo(n, n, np.arange(n), np.arange(n), deg, Field.REAL)
 
     def __repr__(self) -> str:
         counts = ",".join(str(len(b)) for b in self._by_dim)

@@ -110,8 +110,8 @@ def inner_product(
 
 def _adjoint(a: SparseMatrix, w_src: np.ndarray, w_dst: np.ndarray) -> SparseMatrix:
     """Adjoint W_src^(-1) a^T W_dst of a map a from the w_src to the w_dst space."""
-    adj = (a.toarray().T * w_dst[np.newaxis, :]) / w_src[:, np.newaxis]
-    return SparseMatrix.from_dense(adj, Field.REAL)
+    scaled = a.data * w_dst[a.row] / w_src[a.col]
+    return SparseMatrix.from_coo(a.cols, a.rows, a.col, a.row, scaled, Field.REAL)
 
 
 def _assemble(
@@ -169,11 +169,11 @@ def hodge_laplacian(
     return _assemble(n, w_n, below, above)
 
 
-def symmetrized(ops: HodgeOperators) -> np.ndarray:
+def symmetrized(ops: HodgeOperators) -> SparseMatrix:
     """W^(1/2) L W^(-1/2): symmetric, same spectrum as the full Laplacian."""
-    sqrt_w = np.sqrt(ops.weight_vector)
-    a = ops.full.toarray()
-    return (a * sqrt_w[:, np.newaxis]) / sqrt_w[np.newaxis, :]
+    m, sqrt_w = ops.full, np.sqrt(ops.weight_vector)
+    scaled = m.data * sqrt_w[m.row] / sqrt_w[m.col]
+    return SparseMatrix.from_coo(m.rows, m.cols, m.row, m.col, scaled, Field.REAL)
 
 
 def harmonic_basis(ops: HodgeOperators, tol: float | None = None) -> list[Cochain]:
@@ -185,8 +185,7 @@ def harmonic_basis(ops: HodgeOperators, tol: float | None = None) -> list[Cochai
     """
     if ops.size == 0:
         return []
-    sym = SparseMatrix.from_dense(symmetrized(ops), Field.REAL)
-    basis = eigendecompose(sym, dimension=ops.dimension)
+    basis = eigendecompose(symmetrized(ops), dimension=ops.dimension)
     threshold = tol if tol is not None else HARMONIC_RTOL * basis.lambda_max
     inv_sqrt_w = 1.0 / np.sqrt(ops.weight_vector)
     out = []

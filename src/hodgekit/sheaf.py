@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .chains import Field, SparseMatrix
+from .chains import Field, SparseMatrix, _runs
 from .complex import Simplex
 from .errors import (
     DimensionOutOfRange,
@@ -100,6 +100,8 @@ class Sheaf:
                     f"restriction ({face}, {coface}) has shape {arr.shape}, "
                     f"expected {expected}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"restriction ({face}, {coface}) has a non-finite entry")
             self._maps[(face, coface)] = arr
 
         for n in range(1, c.max_dim + 1):
@@ -116,22 +118,22 @@ class Sheaf:
         self._check_commutativity()
 
     def _check_commutativity(self) -> None:
+        """Both paths rho > tau > sigma to each codimension-2 face must agree."""
         c = self.complex
-        for n in range(c.max_dim - 1):
-            for sigma in c.simplices(n):
-                for rho in c.simplices(n + 2):
-                    if not set(sigma.vertices).issubset(rho.vertices):
-                        continue
-                    paths = [
-                        self._maps[(tau, rho)] @ self._maps[(sigma, tau)]
-                        for tau in rho.faces()
-                        if set(sigma.vertices).issubset(tau.vertices)
-                    ]
-                    for other in paths[1:]:
-                        if np.max(np.abs(paths[0] - other), initial=0.0) > COMMUTE_TOL:
-                            raise InconsistentSheaf(
-                                f"restriction maps do not commute between {sigma} and {rho}"
-                            )
+        for k in range(2, c.max_dim + 1):
+            for rho in c.simplices(k):
+                paths: dict[Simplex, list[np.ndarray]] = {}
+                for tau in rho.faces():
+                    for sigma in tau.faces():
+                        paths.setdefault(sigma, []).append(
+                            self._maps[(tau, rho)] @ self._maps[(sigma, tau)]
+                        )
+                for sigma, (first, second) in paths.items():
+                    defect = np.max(np.abs(first - second), initial=0.0)
+                    if not defect <= COMMUTE_TOL:
+                        raise InconsistentSheaf(
+                            f"restriction maps do not commute between {sigma} and {rho}"
+                        )
 
     def stalk_dim(self, s: Simplex) -> int:
         return self._stalks[s]
@@ -175,22 +177,19 @@ def sheaf_coboundary(c: SimplicialComplex, sh: Sheaf, n: int) -> SparseMatrix:
     cols = sh.total_dim(n)
     if n == c.max_dim:
         return SparseMatrix.zeros(0, cols, Field.REAL)
-    rows = sh.total_dim(n + 1)
     row_off = sh.offsets(n + 1)
     col_off = sh.offsets(n)
-    dense = np.zeros((rows, cols))
+    blocks, values = [], []
     for j, coface in enumerate(c.simplices(n + 1)):
-        r0 = row_off[j]
         for i, face in enumerate(coface.faces()):
             block = sh.restriction(face, coface)
-            if block.size == 0:
-                continue
-            k = c.index(face)
-            c0 = col_off[k]
-            dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] += (
-                (-1) ** i
-            ) * block
-    return SparseMatrix.from_dense(dense, Field.REAL)
+            blocks.append((row_off[j], col_off[c.index(face)], *block.shape))
+            values.append((-1) ** i * block.ravel())
+    r0, c0, p, q = np.array(blocks).T
+    block_of, slot = _runs(p * q)
+    down, across = np.divmod(slot, q[block_of])
+    row, col = r0[block_of] + down, c0[block_of] + across
+    return SparseMatrix.from_coo(row_off[-1], cols, row, col, np.concatenate(values), Field.REAL)
 
 
 def check_consistency(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgekit import (
     Cochain,
@@ -110,6 +111,14 @@ def test_apply_oriented_cycle_chain_in_kernel():
     assert np.allclose(out.values, 0.0)
 
 
+def test_apply_gf2_parity_past_uint8_range():
+    star = build_complex([[0, leaf] for leaf in range(1, 302)])
+    d1 = boundary_matrix(star, 1, Field.GF2)
+    out = apply(d1, Cochain(1, np.ones(301, dtype=np.uint8), Field.GF2), result_dim=0)
+    assert out.values[0] == 1
+    assert np.array_equal(out.values[1:], np.ones(301, dtype=np.uint8))
+
+
 def test_apply_shape_and_field_errors():
     d1 = boundary_matrix(TRIANGLE, 1, Field.GF2)
     with pytest.raises(ShapeMismatch):
@@ -193,3 +202,67 @@ def test_add_matches_dense_sum():
     ra = SparseMatrix.from_dense(a.astype(float), Field.REAL)
     rb = SparseMatrix.from_dense(b.astype(float), Field.REAL)
     assert np.array_equal(add(ra, rb).toarray(), (a + b).astype(float))
+
+
+def test_non_finite_entries_rejected():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError):
+        SparseMatrix.from_entries(2, 2, [(0, 0, nan), (1, 1, 1.0)], Field.REAL)
+    with pytest.raises(ValueError):
+        SparseMatrix.from_dense(np.array([[nan, 0.0], [0.0, 1.0]]), Field.REAL)
+    with pytest.raises(ValueError):
+        SparseMatrix.from_entries(1, 1, [(0, 0, inf), (0, 0, -inf)], Field.REAL)
+
+
+def dense_accumulation(shape, triplets, field_tag):
+    out = np.zeros(shape)
+    for r, c, v in triplets:
+        out[r, c] += v
+    return out % 2 if field_tag is Field.GF2 else out
+
+
+@st.composite
+def coo_triplets(draw, field_tag, rows, cols):
+    """Triplets on a small grid, so positions repeat and values cancel exactly.
+
+    Real values are multiples of 1/2, so every dense reference sum is exact.
+    """
+    if rows * cols == 0:
+        return []
+    value = st.integers(-3, 3) if field_tag is Field.GF2 else st.integers(-4, 4).map(lambda k: k / 2)
+    entry = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), value)
+    return draw(st.lists(entry, max_size=16))
+
+
+FIELDS = st.sampled_from(list(Field))
+SIZES = st.integers(0, 4)
+
+
+@given(data=st.data(), field_tag=FIELDS, rows=SIZES, cols=SIZES)
+def test_from_entries_is_canonical_dense_accumulation(data, field_tag, rows, cols):
+    triplets = data.draw(coo_triplets(field_tag, rows, cols))
+    m = SparseMatrix.from_entries(rows, cols, triplets, field_tag)
+    dense = m.toarray()
+    assert np.array_equal(dense, dense_accumulation((rows, cols), triplets, field_tag))
+    assert np.all(np.diff(m.row * cols + m.col) > 0)
+    assert m.nnz == len(m.entries) == np.count_nonzero(dense)
+
+
+@given(data=st.data(), field_tag=FIELDS, rows=SIZES, inner=SIZES, cols=SIZES)
+def test_operations_match_dense_reference(data, field_tag, rows, inner, cols):
+    def draw(r, c):
+        triplets = data.draw(coo_triplets(field_tag, r, c))
+        m = SparseMatrix.from_entries(r, c, triplets, field_tag)
+        return m, dense_accumulation((r, c), triplets, field_tag)
+
+    def reduce(x):
+        return x % 2 if field_tag is Field.GF2 else x
+
+    a, da = draw(rows, inner)
+    a2, da2 = draw(rows, inner)
+    b, db = draw(inner, cols)
+    x = Cochain(1, data.draw(st.lists(st.integers(-3, 3), min_size=inner, max_size=inner)), field_tag)
+    assert np.array_equal(compose(a, b).toarray(), reduce(da @ db))
+    assert np.array_equal(add(a, a2).toarray(), reduce(da + da2))
+    assert np.array_equal(transpose(a).toarray(), da.T)
+    assert np.array_equal(apply(a, x).values, reduce(da @ x.values))

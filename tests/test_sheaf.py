@@ -216,6 +216,21 @@ def test_non_commuting_restrictions_rejected():
         Sheaf(tri, stalks, maps)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_restriction_rejected(bad):
+    tri = build_complex([[0, 1, 2]])
+    stalks = {s: 1 for n in range(3) for s in tri.simplices(n)}
+    maps = {
+        (face, coface): np.eye(1)
+        for n in (1, 2)
+        for coface in tri.simplices(n)
+        for face in coface.faces()
+    }
+    maps[((0,), (0, 1))] = np.array([[bad]])
+    with pytest.raises(ValueError):
+        Sheaf(tri, stalks, maps)
+
+
 def corpus_sheaves():
     line, shift_sheaf = shift_register_sheaf()
     yield "shift-register", line, shift_sheaf
