@@ -45,6 +45,15 @@ def _labels(c, n: int) -> list[str]:
     return [io.simplex_label(s) for s in c.simplices(n)]
 
 
+def _tol(args) -> dict:
+    """The --tol option as keyword arguments; NaN, infinite or negative is BadParams."""
+    if args.tol is None:
+        return {}
+    if not 0 <= args.tol < float("inf"):
+        raise BadParams(f"--tol must be finite and non-negative, got {args.tol}")
+    return {"tol": args.tol}
+
+
 def _cmd_betti(args) -> int:
     c = _load_complex(args.complex)
     # Both fields are always computed and compared; they agree whenever
@@ -94,8 +103,7 @@ def _cmd_decompose(args) -> int:
     c = _load_complex(args.complex)
     signal = io.parse_signal(io.load_json(args.signal))
     weights = io.parse_weights(io.load_json(args.weights)) if args.weights else None
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    irrot, harmonic, solenoid = hodge_decompose(signal, c, args.dim, weights, **kwargs)
+    irrot, harmonic, solenoid = hodge_decompose(signal, c, args.dim, weights, **_tol(args))
 
     def norm(x: Cochain) -> float:
         return float((x.values @ x.values) ** 0.5)
@@ -130,7 +138,7 @@ def _cmd_filter(args) -> int:
 def _cmd_sheaf_cohomology(args) -> int:
     c = _load_complex(args.complex)
     sh = io.parse_sheaf(io.load_json(args.sheaf), c)
-    dims = sheaf_cohomology_dims(c, sh, args.tol)
+    dims = sheaf_cohomology_dims(c, sh, **_tol(args))
     _emit_json({"cohomology_dims": dims}, args.output)
     return 0
 
@@ -139,8 +147,7 @@ def _cmd_sheaf_check(args) -> int:
     c = _load_complex(args.complex)
     sh = io.parse_sheaf(io.load_json(args.sheaf), c)
     assignment = io.parse_assignment(io.load_json(args.assignment), sh)
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    consistent, residual = check_consistency(c, sh, assignment, **kwargs)
+    consistent, residual = check_consistency(c, sh, assignment, **_tol(args))
     _emit_json(
         {"consistent": consistent, "residual": io.assignment_to_obj(residual, sh)},
         args.output,
@@ -150,7 +157,7 @@ def _cmd_sheaf_check(args) -> int:
 
 def _cmd_spectra_compare(args) -> int:
     c = _load_complex(args.complex)
-    report = compare_spectra(c, args.tol)
+    report = compare_spectra(c, **_tol(args))
     _emit_json(
         {
             "agree": report.agree,

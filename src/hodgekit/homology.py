@@ -40,18 +40,13 @@ def rank_gf2(m: SparseMatrix) -> RankProfile:
     rows, cols = a.shape
     rank = 0
     for col in range(cols):
-        pivot = -1
-        for row in range(rank, rows):
-            if a[row, col]:
-                pivot = row
-                break
-        if pivot < 0:
+        (below,) = a[rank:, col].nonzero()
+        if below.size == 0:
             continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        for row in range(rank + 1, rows):
-            if a[row, col]:
-                a[row] ^= a[rank]
+        below += rank
+        if below[0] != rank:
+            a[[rank, below[0]]] = a[[below[0], rank]]
+        a[below[1:], col:] ^= a[rank, col:]
         rank += 1
         if rank == rows:
             break
@@ -62,15 +57,18 @@ def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
     """Numerical rank by elimination with partial (max-magnitude) pivoting.
 
     A pivot counts while its magnitude exceeds tol; the default tol is
-    1e-9 times the largest absolute entry of the input.
+    1e-9 times the largest absolute entry of the input.  A NaN, infinite
+    or negative tol raises ValueError.
     """
     if m.field_tag is not Field.REAL:
         raise FieldMismatch("rank_real needs a real matrix")
+    if tol is not None and not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     a = m.toarray().astype(np.float64)
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return RankProfile(0, cols, cols)
-    scale = np.max(np.abs(a)) if a.size else 0.0
+    scale = np.max(np.abs(a))
     if scale == 0.0:
         return RankProfile(0, cols, cols)
     if tol is None:
@@ -82,8 +80,9 @@ def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
             continue
         if pivot != rank:
             a[[rank, pivot]] = a[[pivot, rank]]
-        factors = a[rank + 1 :, col] / a[rank, col]
-        a[rank + 1 :] -= np.outer(factors, a[rank])
+        below = rank + 1 + a[rank + 1 :, col].nonzero()[0]
+        factors = a[below, col] / a[rank, col]
+        a[below, col:] -= np.outer(factors, a[rank, col:])
         rank += 1
         if rank == rows:
             break
@@ -109,29 +108,25 @@ def snf_gf2(m: SparseMatrix) -> tuple[int, list[RowOp], list[RowOp]]:
     col_ops: list[RowOp] = []
     k = 0
     while k < min(rows, cols):
-        pivot = None
-        for r in range(k, rows):
-            nz = np.nonzero(a[r, k:])[0]
-            if nz.size:
-                pivot = (r, k + int(nz[0]))
-                break
-        if pivot is None:
+        nz_rows, nz_cols = np.nonzero(a[k:, k:])
+        if nz_rows.size == 0:
             break
-        r, c = pivot
+        r, c = k + int(nz_rows[0]), k + int(nz_cols[0])
         if r != k:
             a[[k, r]] = a[[r, k]]
             row_ops.append(("swap", k, r))
         if c != k:
             a[:, [k, c]] = a[:, [c, k]]
             col_ops.append(("swap", k, c))
-        for i in range(rows):
-            if i != k and a[i, k]:
-                a[i] ^= a[k]
-                row_ops.append(("add", k, i))
-        for j in range(cols):
-            if j != k and a[k, j]:
-                a[:, j] ^= a[:, k]
-                col_ops.append(("add", k, j))
+        # Row k and column k stay fixed while they are xored into the others.
+        (targets,) = a[:, k].nonzero()
+        targets = targets[targets != k]
+        a[targets] ^= a[k]
+        row_ops.extend(("add", k, int(i)) for i in targets)
+        (targets,) = a[k].nonzero()
+        targets = targets[targets != k]
+        a[:, targets] ^= a[:, [k]]
+        col_ops.extend(("add", k, int(j)) for j in targets)
         k += 1
     return k, row_ops, col_ops
 
@@ -154,22 +149,29 @@ def replay_gf2_ops(
     return a
 
 
+def _betti(c: SimplicialComplex, maps: list[SparseMatrix], rank) -> list[int]:
+    """Betti numbers from the boundary maps d_1..d_max and a rank kernel."""
+    ranks = [0, *(rank(d).rank for d in maps), 0]  # d_0 and the map above the top are zero
+    return [c.n_simplices(n) - ranks[n] - ranks[n + 1] for n in range(c.max_dim + 1)]
+
+
 def betti(c: SimplicialComplex, field_tag: Field = Field.GF2) -> list[int]:
     """Betti numbers b_0..b_max: counts of n-dimensional voids."""
     rank = rank_gf2 if field_tag is Field.GF2 else rank_real
-    ranks = [rank(boundary_matrix(c, n, field_tag)).rank for n in range(1, c.max_dim + 1)]
-    ranks = [0, *ranks, 0]  # d_0 and the map above the top dimension are zero
-    return [c.n_simplices(n) - ranks[n] - ranks[n + 1] for n in range(c.max_dim + 1)]
+    return _betti(c, [boundary_matrix(c, n, field_tag) for n in range(1, c.max_dim + 1)], rank)
 
 
 def betti_checked(c: SimplicialComplex) -> list[int]:
     """Betti numbers computed in both fields, raising if they disagree.
 
     Torsion is out of scope, so the fields must agree; a mismatch means
-    the real-rank tolerance misjudged a pivot.
+    the real-rank tolerance misjudged a pivot.  Each boundary map is built
+    once: its entries are +-1, so reducing it mod 2 gives the GF(2) map.
     """
-    exact = betti(c, Field.GF2)
-    numeric = betti(c, Field.REAL)
+    real = [boundary_matrix(c, n, Field.REAL) for n in range(1, c.max_dim + 1)]
+    gf2 = [SparseMatrix.from_coo(*d.shape, d.row, d.col, d.data, Field.GF2) for d in real]
+    exact = _betti(c, gf2, rank_gf2)
+    numeric = _betti(c, real, rank_real)
     if exact != numeric:
         raise FieldDisagreement(
             f"GF(2) Betti {exact} != real Betti {numeric}"

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgekit import (
     Field,
@@ -13,13 +14,16 @@ from hodgekit import (
     boundary_matrix,
     build_complex,
     connected_components,
+    constant_sheaf,
     rank_gf2,
     rank_real,
     replay_gf2_ops,
     snf_gf2,
+    sheaf_cohomology_dims,
     transpose,
 )
 from hodgekit import generators as gen
+from hodgekit import homology
 from hodgekit.errors import FieldMismatch
 
 from conftest import CORPUS, random_complex
@@ -181,3 +185,172 @@ def test_betti_fields_agree_on_random_complexes():
     for _ in range(25):
         c = random_complex(rng)
         assert betti(c, Field.GF2) == betti(c, Field.REAL)
+
+
+# Reference kernels: the full-row eliminations that the row-restricted kernels
+# replaced, kept verbatim.  Both must take the same pivot decisions.
+
+
+def reference_rank_gf2(m: SparseMatrix) -> homology.RankProfile:
+    a = m.toarray()
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        pivot = -1
+        for row in range(rank, rows):
+            if a[row, col]:
+                pivot = row
+                break
+        if pivot < 0:
+            continue
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        for row in range(rank + 1, rows):
+            if a[row, col]:
+                a[row] ^= a[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return homology.RankProfile(rank, cols - rank, cols)
+
+
+def reference_rank_real(m: SparseMatrix, tol: float | None = None) -> homology.RankProfile:
+    a = m.toarray().astype(np.float64)
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return homology.RankProfile(0, cols, cols)
+    scale = np.max(np.abs(a)) if a.size else 0.0
+    if scale == 0.0:
+        return homology.RankProfile(0, cols, cols)
+    if tol is None:
+        tol = 1e-9 * scale
+    rank = 0
+    for col in range(cols):
+        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
+        if abs(a[pivot, col]) <= tol:
+            continue
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        factors = a[rank + 1 :, col] / a[rank, col]
+        a[rank + 1 :] -= np.outer(factors, a[rank])
+        rank += 1
+        if rank == rows:
+            break
+    return homology.RankProfile(rank, cols - rank, cols)
+
+
+def reference_snf_gf2(m: SparseMatrix):
+    a = m.toarray()
+    rows, cols = a.shape
+    row_ops = []
+    col_ops = []
+    k = 0
+    while k < min(rows, cols):
+        pivot = None
+        for r in range(k, rows):
+            nz = np.nonzero(a[r, k:])[0]
+            if nz.size:
+                pivot = (r, k + int(nz[0]))
+                break
+        if pivot is None:
+            break
+        r, c = pivot
+        if r != k:
+            a[[k, r]] = a[[r, k]]
+            row_ops.append(("swap", k, r))
+        if c != k:
+            a[:, [k, c]] = a[:, [c, k]]
+            col_ops.append(("swap", k, c))
+        for i in range(rows):
+            if i != k and a[i, k]:
+                a[i] ^= a[k]
+                row_ops.append(("add", k, i))
+        for j in range(cols):
+            if j != k and a[k, j]:
+                a[:, j] ^= a[:, k]
+                col_ops.append(("add", k, j))
+        k += 1
+    return k, row_ops, col_ops
+
+
+SHAPES = st.tuples(st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def real_matrices(draw):
+    """Real matrices that sit on rank decisions.
+
+    One of: a product of thin random factors (rank below the shape allows);
+    a few random rows repeated and negated; or one large entry among entries
+    just above and just below the default pivot tolerance 1e-9 * max|a|.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(SHAPES)
+    kind = draw(st.sampled_from(["product", "repeated", "near-tol"]))
+    if kind == "product":
+        inner = draw(st.integers(1, min(rows, cols)))
+        a = rng.standard_normal((rows, inner)) @ rng.standard_normal((inner, cols))
+    elif kind == "repeated":
+        base = rng.standard_normal((draw(st.integers(1, rows)), cols))
+        a = rng.choice([-1.0, 1.0], size=(rows, 1)) * base[rng.integers(0, len(base), rows)]
+    else:
+        scale = 10.0 ** draw(st.integers(0, 4))
+        near = 1e-9 * scale * rng.choice([1 - 1e-6, 1 + 1e-6], size=(rows, cols))
+        a = np.where(rng.random((rows, cols)) < 0.5, near * rng.choice([-1, 1], (rows, cols)), 0.0)
+        a[rng.integers(rows), rng.integers(cols)] = scale
+    return SparseMatrix.from_dense(a, Field.REAL)
+
+
+@st.composite
+def gf2_matrices(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(SHAPES)
+    density = draw(st.sampled_from([0.15, 0.4, 0.8]))
+    dense = (rng.random((rows, cols)) < density).astype(np.uint8)
+    return SparseMatrix.from_dense(dense, Field.GF2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=real_matrices(), tol=st.sampled_from([None, 0.0, 1e-6]))
+def test_rank_real_matches_reference_elimination(m, tol):
+    assert rank_real(m, tol) == reference_rank_real(m, tol)
+    assert rank_real(transpose(m), tol) == reference_rank_real(transpose(m), tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=gf2_matrices())
+def test_gf2_kernels_match_reference_elimination(m):
+    assert rank_gf2(m) == reference_rank_gf2(m)
+    assert snf_gf2(m) == reference_snf_gf2(m)
+
+
+def test_rank_real_tolerance_edge_known_answers():
+    nearly_singular = SparseMatrix.from_dense(np.array([[1, 1], [1, 1 + 1e-10]]), Field.REAL)
+    assert rank_real(nearly_singular).rank == 1
+    assert rank_real(nearly_singular, tol=0.0).rank == 2
+    # The default bound is inclusive: a pivot of exactly 1e-9 * max|a| is rejected.
+    for factor, rank in ((1 - 1e-6, 1), (1.0, 1), (1 + 1e-6, 2)):
+        m = SparseMatrix.from_dense(np.diag([1e3, 1e3 * 1e-9 * factor]), Field.REAL)
+        assert rank_real(m).rank == rank == reference_rank_real(m).rank
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_bad_tolerance_raises(tol):
+    with pytest.raises(ValueError, match="tol"):
+        rank_real(boundary_matrix(TRIANGLE, 1, Field.REAL), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        sheaf_cohomology_dims(TRIANGLE, constant_sheaf(TRIANGLE), tol)
+
+
+def test_betti_checked_builds_each_boundary_map_once(monkeypatch):
+    c = CORPUS["torus7"]
+    calls = []
+    original = homology.boundary_matrix
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(homology, "boundary_matrix", counted)
+    assert betti_checked(c) == [1, 2, 1]
+    assert len(calls) == c.max_dim

@@ -275,6 +275,22 @@ def test_cli_sheaf_rejects_bad_blocks(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_rejects_bad_tolerance(triangle_file, tmp_path, capsys, tol):
+    complex_file, sheaf_file = shift_register_files(tmp_path)
+    signal = write_json(tmp_path / "s.json", {"dim": 1, "values": [1.0, 2.0, 3.0]})
+    blocks = write_json(tmp_path / "x.json", {"dim": 0, "blocks": [[1, 2, 3]] * 3})
+    for argv in (
+        ["decompose", triangle_file, signal, "--dim", "1"],
+        ["sheaf-cohomology", complex_file, sheaf_file],
+        ["sheaf-check", complex_file, sheaf_file, blocks],
+        ["spectra-compare", triangle_file],
+    ):
+        assert main([*argv, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err
+
+
 def test_cli_spectra_compare(triangle_file, capsys):
     assert main(["spectra-compare", triangle_file]) == 0
     report = json.loads(capsys.readouterr().out)
