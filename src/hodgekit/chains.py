@@ -162,14 +162,10 @@ def boundary_matrix(c: SimplicialComplex, n: int, field_tag: Field) -> SparseMat
 
     GF(2) entries record bare face incidence.  Real entries carry the
     induced-orientation sign: the face obtained by deleting the i-th vertex
-    of the ascending vertex tuple gets (-1)**i.
+    of the ascending vertex tuple gets (-1)**i.  Raises DimensionOutOfRange
+    unless 1 <= n <= c.max_dim.
     """
-    if not 1 <= n <= c.max_dim:
-        raise DimensionOutOfRange(
-            f"boundary dimension {n} outside 1..{c.max_dim}"
-        )
-    cols = c.n_simplices(n)
-    faces = [c.index(f) for s in c.simplices(n) for f in s.faces()]
+    faces, cols = c.face_table(n).ravel(), c.n_simplices(n)
     signs = np.tile((-1.0) ** np.arange(n + 1), cols)
     return SparseMatrix.from_coo(
         c.n_simplices(n - 1), cols, faces, np.repeat(np.arange(cols), n + 1), signs, field_tag

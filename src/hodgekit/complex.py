@@ -3,19 +3,20 @@
 A complex is built once from its top simplices, closed downward, and then
 immutable.  All matrices produced elsewhere in the package index simplices
 by the canonical order fixed here: within each dimension, simplices are
-sorted lexicographically by their ascending vertex tuples.
+sorted lexicographically by their ascending vertex tuples.  Face incidence
+is decided here too, once, in each dimension's face table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .chains import Field, SparseMatrix
 from .errors import (
+    DimensionOutOfRange,
     DuplicateVertex,
     EmptySimplex,
     InvalidVertex,
@@ -69,93 +70,101 @@ class Simplex:
 class SimplicialComplex:
     """Downward-closed set of simplices with per-dimension canonical order.
 
+    Dimension n is held as a lexsorted (N_n, n+1) int64 array of vertex
+    positions and its face table; Simplex objects are built on first use.
     Instances are immutable after construction and safe to share between
     threads.  Vertex labels may be any non-negative integers; their dense
     index is their position in the canonical dimension-0 list.
     """
 
     def __init__(self, top_simplices: Iterable[Iterable[int]]):
-        seen: set[Simplex] = set()
-        for raw in top_simplices:
-            top = Simplex(tuple(raw))
-            n = len(top.vertices)
-            for size in range(1, n + 1):
-                for combo in combinations(top.vertices, size):
-                    seen.add(Simplex(combo))
-        if not seen:
+        tops = [_check_vertices(raw) for raw in top_simplices]
+        if not tops:
             raise EmptySimplex("a complex needs at least one simplex")
-        max_dim = max(s.dimension for s in seen)
-        by_dim: list[list[Simplex]] = [[] for _ in range(max_dim + 1)]
-        for s in seen:
-            by_dim[s.dimension].append(s)
-        for bucket in by_dim:
-            bucket.sort(key=lambda s: s.vertices)
-        self._by_dim: tuple[tuple[Simplex, ...], ...] = tuple(tuple(b) for b in by_dim)
-        self._index: dict[Simplex, int] = {
-            s: i for bucket in self._by_dim for i, s in enumerate(bucket)
-        }
+        self._labels = tuple(sorted({v for top in tops for v in top}))
+        position = {v: p for p, v in enumerate(self._labels)}
+        longest = max(map(len, tops))
+        self._arrays, self._tables, faces = [], [], np.zeros((0, longest), dtype=np.int64)
+        # Each size's simplices are the faces one size up plus that size's tops; one unique
+        # pass orders them and indexes those faces.  _tables[k] is dimension k + 1's table,
+        # so _tables[max_dim] is the empty table above the top.
+        for size in range(longest, 0, -1):
+            own = [[position[v] for v in top] for top in tops if len(top) == size]
+            rows = np.concatenate([faces, np.array(own, dtype=np.int64).reshape(-1, size)])
+            simplices, inverse = np.unique(rows, axis=0, return_inverse=True)
+            self._tables.insert(0, inverse.ravel()[: len(faces)].reshape(-1, size + 1))
+            self._tables[0].flags.writeable = False
+            self._arrays.insert(0, simplices)
+            keep = np.array([[k for k in range(size) if k != i] for i in range(size)], int)
+            faces = simplices[:, keep].reshape(len(simplices) * size, size - 1)
+        self._objects: list[tuple | None] = [None] * len(self._arrays)
 
     @property
     def max_dim(self) -> int:
-        return len(self._by_dim) - 1
+        return len(self._arrays) - 1
+
+    def _built(self, n: int) -> tuple[tuple[Simplex, ...], dict[Simplex, int]]:
+        """The n-simplices as Simplex objects and their positions."""
+        if self._objects[n] is None:
+            rows = self._arrays[n].tolist()
+            objects = tuple(Simplex(tuple(self._labels[p] for p in row)) for row in rows)
+            self._objects[n] = objects, {s: j for j, s in enumerate(objects)}
+        return self._objects[n]
 
     def simplices(self, n: int) -> tuple[Simplex, ...]:
         """Canonically ordered n-simplices (empty tuple above max_dim)."""
-        if n < 0:
-            raise ValueError("dimension must be non-negative")
-        if n > self.max_dim:
-            return ()
-        return self._by_dim[n]
+        return self._built(n)[0] if self.n_simplices(n) else ()
 
     def n_simplices(self, n: int) -> int:
-        return len(self.simplices(n))
+        if n < 0:
+            raise ValueError("dimension must be non-negative")
+        return len(self._arrays[n]) if n <= self.max_dim else 0
+
+    def face_table(self, n: int) -> np.ndarray:
+        """Read-only (N_n, n+1) positions: [j, i] is the face of n-simplex j
+        that deletes its i-th vertex."""
+        if not 1 <= n <= self.max_dim:
+            raise DimensionOutOfRange(f"boundary dimension {n} outside 1..{self.max_dim}")
+        return self._tables[n - 1]
 
     def index(self, s: Simplex) -> int:
         """Position of s within its dimension's canonical order."""
         try:
-            return self._index[s]
-        except KeyError:
+            return self._built(s.dimension)[1][s]
+        except (IndexError, KeyError):  # IndexError: dimension above max_dim
             raise UnknownSimplex(f"{s} is not in the complex") from None
 
     def __contains__(self, s: Simplex) -> bool:
-        return s in self._index
+        return s.dimension <= self.max_dim and s in self._built(s.dimension)[1]
 
     def __len__(self) -> int:
-        return len(self._index)
+        return sum(map(len, self._arrays))
 
     @property
     def vertices(self) -> tuple[int, ...]:
         """Original vertex labels in canonical (ascending) order."""
-        return tuple(s.vertices[0] for s in self._by_dim[0])
+        return self._labels
 
     def cofaces(self, s: Simplex) -> tuple[Simplex, ...]:
         """All stored (dim+1)-simplices having s as a face."""
-        if s not in self._index:
-            raise UnknownSimplex(f"{s} is not in the complex")
-        want = set(s.vertices)
-        return tuple(
-            t for t in self.simplices(s.dimension + 1) if want.issubset(t.vertices)
-        )
-
-    def _edge_ends(self) -> np.ndarray:
-        """(#edges, 2) positions of each edge's endpoints in the vertex order."""
-        ends = np.array([e.vertices for e in self.simplices(1)], dtype=np.int64)
-        return np.searchsorted(self.vertices, ends.reshape(-1, 2))
+        j, above = self.index(s), self.simplices(s.dimension + 1)
+        rows = np.flatnonzero((self._tables[s.dimension] == j).any(axis=1))
+        return tuple(above[r] for r in rows)
 
     def adjacency_matrix(self) -> SparseMatrix:
         """Symmetric 0/1 vertex-to-vertex matrix; A[i,j] = 1 iff edge {i,j}."""
-        n, ends = self.n_simplices(0), self._edge_ends()
+        n, ends = self.n_simplices(0), self._tables[0]
         ones = np.ones(2 * len(ends))
         return SparseMatrix.from_coo(n, n, ends.ravel(), ends[:, ::-1].ravel(), ones, Field.REAL)
 
     def degree_matrix(self) -> SparseMatrix:
         """Diagonal matrix of vertex degrees (incident edge counts)."""
-        n = self.n_simplices(0)
-        deg = np.bincount(self._edge_ends().reshape(-1), minlength=n)
+        n, a = self.n_simplices(0), self.adjacency_matrix()
+        deg = np.bincount(a.row, a.data, n)
         return SparseMatrix.from_coo(n, n, np.arange(n), np.arange(n), deg, Field.REAL)
 
     def __repr__(self) -> str:
-        counts = ",".join(str(len(b)) for b in self._by_dim)
+        counts = ",".join(str(len(a)) for a in self._arrays)
         return f"SimplicialComplex(dim={self.max_dim}, counts=[{counts}])"
 
 

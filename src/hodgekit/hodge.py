@@ -34,6 +34,7 @@ from .chains import (
     compose,
 )
 from .errors import DimensionOutOfRange, NumericalFailure, ShapeMismatch
+from .homology import _check_tol
 from .spectral import HARMONIC_RTOL, eigendecompose
 
 if TYPE_CHECKING:
@@ -136,8 +137,6 @@ def adjoint_boundary(
     Computes W_n^(-1) d_n^T W_(n-1); with all-ones weights this is exactly
     the transpose.
     """
-    if not 1 <= n <= c.max_dim:
-        raise DimensionOutOfRange(f"boundary dimension {n} outside 1..{c.max_dim}")
     w = w or InnerProductWeights.ones()
     return _adjoint(
         boundary_matrix(c, n, Field.REAL),
@@ -179,10 +178,11 @@ def symmetrized(ops: HodgeOperators) -> SparseMatrix:
 def harmonic_basis(ops: HodgeOperators, tol: float | None = None) -> list[Cochain]:
     """Orthonormal basis of the Laplacian kernel (the harmonic space).
 
-    Eigenvectors with eigenvalue at most tol are harmonic; tol defaults to
-    1e-8 times the largest eigenvalue.  Orthonormality is with respect to
-    the weighted inner product on this dimension.
+    Eigenvectors with eigenvalue at most tol are harmonic; tol must be finite
+    and non-negative (else ValueError) and defaults to 1e-8 times the largest
+    eigenvalue.  Orthonormality is for the weighted inner product.
     """
+    _check_tol(tol)
     if ops.size == 0:
         return []
     basis = eigendecompose(symmetrized(ops), dimension=ops.dimension)
@@ -222,8 +222,10 @@ def hodge_decompose(
     mutually orthogonal for the weighted inner product; tol bounds both
     the allowed orthogonality defect (relative to |s|^2) and the kernel
     residual of the harmonic part (relative to |s|), and violations raise
-    NumericalFailure; a NaN or infinity in the signal fails them too.
+    NumericalFailure; a NaN or infinity in the signal fails them too.  A
+    NaN, infinite or negative tol raises ValueError.
     """
+    _check_tol(tol)
     if s.dimension != n:
         raise ShapeMismatch(f"signal dimension {s.dimension} != {n}")
     if len(s) != c.n_simplices(n):
@@ -250,7 +252,7 @@ def hodge_decompose(
     for a, b in ((irrot, harmonic), (irrot, solenoid), (harmonic, solenoid)):
         if not abs(float(np.sum(ops.weight_vector * a * b))) <= pair_bound + 1e-300:
             raise NumericalFailure("decomposition parts are not orthogonal")
-    residual = ops.full.toarray() @ harmonic
+    residual = apply(ops.full, Cochain(n, harmonic)).values
     if not np.linalg.norm(residual) <= tol * np.linalg.norm(values) + 1e-300:
         raise NumericalFailure("harmonic part is not in the Laplacian kernel")
 
@@ -267,6 +269,4 @@ def gradient(c: SimplicialComplex, f: Cochain) -> Cochain:
         raise ShapeMismatch(f"gradient needs a vertex signal, got dimension {f.dimension}")
     if len(f) != c.n_simplices(0):
         raise ShapeMismatch(f"signal length {len(f)} != {c.n_simplices(0)} vertices")
-    if c.max_dim == 0:
-        return Cochain(1, np.zeros(0))
     return apply(coboundary_matrix(c, 0, Field.REAL), f, result_dim=1)

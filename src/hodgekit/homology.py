@@ -32,6 +32,12 @@ class RankProfile:
         assert self.rank + self.nullity == self.cols
 
 
+def _check_tol(tol: float | None) -> None:
+    """Raise ValueError for a NaN, infinite or negative tolerance; None passes."""
+    if tol is not None and not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 def rank_gf2(m: SparseMatrix) -> RankProfile:
     """Exact GF(2) rank by xor row reduction with first-nonzero pivoting."""
     if m.field_tag is not Field.GF2:
@@ -62,8 +68,7 @@ def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
     """
     if m.field_tag is not Field.REAL:
         raise FieldMismatch("rank_real needs a real matrix")
-    if tol is not None and not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    _check_tol(tol)
     a = m.toarray().astype(np.float64)
     rows, cols = a.shape
     if rows == 0 or cols == 0:
@@ -179,27 +184,15 @@ def betti_checked(c: SimplicialComplex) -> list[int]:
     return exact
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def connected_components(c: SimplicialComplex) -> int:
     """Number of connected components, by union-find over the edges."""
-    uf = _UnionFind(c.vertices)
-    for edge in c.simplices(1):
-        uf.union(*edge.vertices)
-    return len({uf.find(v) for v in c.vertices})
+    parent = list(range(c.n_simplices(0)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for a, b in c.face_table(1).tolist() if c.max_dim >= 1 else ():
+        parent[find(a)] = find(b)
+    return sum(find(v) == v for v in range(len(parent)))

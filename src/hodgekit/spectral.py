@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chains import Cochain, Field, SparseMatrix, boundary_matrix, compose, transpose
+from .chains import Cochain, Field, SparseMatrix, coboundary_matrix, compose, transpose
 from .errors import FieldMismatch, NotAGraph, NotSymmetric, ShapeMismatch
-from .homology import betti
+from .homology import _check_tol, betti
 
 if TYPE_CHECKING:
     from .complex import SimplicialComplex
@@ -46,22 +46,21 @@ def eigendecompose(
 ) -> SpectralBasis:
     """Full eigendecomposition of a symmetric real matrix.
 
-    Raises NotSymmetric unless max|L - L^T| <= tol * max|L|.  The weighted
+    Raises NotSymmetric unless max|L - L^T| <= tol * max|L|, and
+    ValueError for a NaN, infinite or negative tol.  The weighted
     self-adjoint case must be symmetrized by the caller first.
     """
+    _check_tol(tol)
     if L.field_tag is not Field.REAL:
         raise FieldMismatch("eigendecomposition needs a real matrix")
     a = L.toarray()
     if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if a.size:
-        scale = max(np.max(np.abs(a)), 1.0)
-        if np.max(np.abs(a - a.T)) > tol * scale:
-            raise NotSymmetric("matrix is not symmetric within tolerance")
-    sym = (a + a.T) / 2.0
-    if sym.size == 0:
+    if a.size == 0:
         return SpectralBasis(np.zeros(0), np.zeros((0, 0)), dimension)
-    eigenvalues, vectors = np.linalg.eigh(sym)
+    if not np.max(np.abs(a - a.T)) <= tol * max(np.max(np.abs(a)), 1.0):
+        raise NotSymmetric("matrix is not symmetric within tolerance")
+    eigenvalues, vectors = np.linalg.eigh((a + a.T) / 2.0)
     for k in range(vectors.shape[1]):
         col = vectors[:, k]
         lead = int(np.argmax(np.abs(col)))
@@ -106,15 +105,8 @@ def graph_laplacians(c: SimplicialComplex) -> tuple[SparseMatrix, SparseMatrix]:
     """The vertex Laplacian d1 d1^T and the edge Laplacian d1^T d1."""
     if c.max_dim > 1:
         raise NotAGraph(f"complex has dimension {c.max_dim}")
-    n_v = c.n_simplices(0)
-    n_e = c.n_simplices(1)
-    if n_e == 0:
-        return (
-            SparseMatrix.zeros(n_v, n_v, Field.REAL),
-            SparseMatrix.zeros(0, 0, Field.REAL),
-        )
-    d1 = boundary_matrix(c, 1, Field.REAL)
-    return compose(d1, transpose(d1)), compose(transpose(d1), d1)
+    d1t = coboundary_matrix(c, 0, Field.REAL)  # 0 x #vertices without edges
+    return compose(transpose(d1t), d1t), compose(d1t, transpose(d1t))
 
 
 def compare_spectra(c: SimplicialComplex, tol: float | None = None) -> SpectraReport:
@@ -122,7 +114,9 @@ def compare_spectra(c: SimplicialComplex, tol: float | None = None) -> SpectraRe
 
     The multiplicity of the eigenvalue zero differs between them by exactly
     b0 - b1; both quantities are reported so callers can assert equality.
+    A NaN, infinite or negative tol raises ValueError.
     """
+    _check_tol(tol)
     l0, l1 = graph_laplacians(c)
     ev0 = eigendecompose(l0).eigenvalues
     ev1 = eigendecompose(l1).eigenvalues

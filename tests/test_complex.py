@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from hodgekit import Simplex, build_complex
+from hodgekit import Field, Simplex, boundary_matrix, build_complex
+from hodgekit import generators as gen
+from hodgekit.sheaf import sheaf_coboundary
 from hodgekit.errors import (
     DuplicateVertex,
     EmptySimplex,
@@ -14,7 +17,7 @@ from hodgekit.errors import (
     ZeroDimensional,
 )
 
-from conftest import CORPUS, CORPUS_TOPS
+from conftest import CORPUS, CORPUS_TOPS, gauge_sheaf
 
 
 def test_filled_triangle_has_seven_simplices():
@@ -170,3 +173,53 @@ def test_simplex_validation_is_canonicalizing():
         )
     ]
     assert dims == sorted(dims)
+
+
+# Non-contiguous labels, including ones past the int64 range.
+LABELS = st.sampled_from([0, 1, 4, 5, 9, 30, 31, 2**40, 2**63, 2**64 + 3])
+# A top is a vertex set of 1 to 4 labels listed in any order; the list may
+# repeat tops and hold tops that are faces of other tops.
+TOP = st.sets(LABELS, min_size=1, max_size=4).flatmap(lambda s: st.permutations(sorted(s)))
+
+
+@given(tops=st.lists(TOP, min_size=1, max_size=8))
+def test_arrays_and_face_tables_match_brute_force_closure(tops):
+    c = build_complex(tops)
+    closure = {
+        combo for top in tops for k in range(1, len(top) + 1)
+        for combo in itertools.combinations(sorted(top), k)
+    }
+    assert c.max_dim == max(len(top) for top in tops) - 1
+    assert len(c) == len(closure)
+    assert c.vertices == tuple(sorted({v for top in tops for v in top}))
+    for n in range(c.max_dim + 1):
+        expected = sorted(s for s in closure if len(s) == n + 1)
+        assert [s.vertices for s in c.simplices(n)] == expected
+    for n in range(1, c.max_dim + 1):
+        table = c.face_table(n)
+        assert table.shape == (c.n_simplices(n), n + 1) and not table.flags.writeable
+        for j, s in enumerate(c.simplices(n)):
+            assert table[j].tolist() == [c.index(f) for f in s.faces()]
+
+
+def test_face_lookups_build_no_simplex(monkeypatch):
+    c = build_complex(gen.torus())
+    sh = gauge_sheaf(c)
+    built = []
+    original = Simplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simplex, "__init__", counted)
+    fresh = build_complex(gen.torus())
+    for n in (1, 2):
+        for field_tag in Field:
+            assert boundary_matrix(fresh, n, field_tag) == boundary_matrix(c, n, field_tag)
+    for n in range(3):
+        sheaf_coboundary(c, sh, n)
+    for n in range(3):
+        for s in c.simplices(n):
+            c.cofaces(s)
+    assert built == []

@@ -7,14 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgekit import (
+    Cochain,
     Field,
     SparseMatrix,
     betti,
     betti_checked,
     boundary_matrix,
     build_complex,
+    compare_spectra,
     connected_components,
     constant_sheaf,
+    eigendecompose,
+    harmonic_basis,
+    hodge_decompose,
+    hodge_laplacian,
     rank_gf2,
     rank_real,
     replay_gf2_ops,
@@ -25,6 +31,7 @@ from hodgekit import (
 from hodgekit import generators as gen
 from hodgekit import homology
 from hodgekit.errors import FieldMismatch
+from hodgekit.sheaf import Assignment, check_consistency
 
 from conftest import CORPUS, random_complex
 
@@ -340,6 +347,29 @@ def test_bad_tolerance_raises(tol):
         rank_real(boundary_matrix(TRIANGLE, 1, Field.REAL), tol=tol)
     with pytest.raises(ValueError, match="tol"):
         sheaf_cohomology_dims(TRIANGLE, constant_sheaf(TRIANGLE), tol)
+
+
+TORUS = CORPUS["torus7"]
+TOLERANT_CALLS = {
+    "harmonic_basis": lambda tol: harmonic_basis(hodge_laplacian(TORUS, 1), tol),
+    "compare_spectra": lambda tol: compare_spectra(CORPUS["cycle8"], tol),
+    "eigendecompose": lambda tol: eigendecompose(
+        SparseMatrix.from_dense(np.array([[1.0, 5.0], [0.0, 1.0]]), Field.REAL), tol=tol
+    ),
+    "check_consistency": lambda tol: check_consistency(
+        TRIANGLE, constant_sheaf(TRIANGLE), Assignment(0, np.ones(3)), tol=tol
+    ),
+    "hodge_decompose": lambda tol: hodge_decompose(
+        Cochain(1, np.arange(21.0)), TORUS, 1, tol=tol
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", sorted(TOLERANT_CALLS))
+def test_library_tolerances_fail_closed(name, tol):
+    with pytest.raises(ValueError, match="tol"):
+        TOLERANT_CALLS[name](tol)
 
 
 def test_betti_checked_builds_each_boundary_map_once(monkeypatch):

@@ -291,6 +291,28 @@ def test_cli_rejects_bad_tolerance(triangle_file, tmp_path, capsys, tol):
         assert captured.out == "" and "--tol" in captured.err
 
 
+def test_vertex_labels_past_int64(tmp_path, capsys):
+    big = 2**64
+    path = write_json(tmp_path / "big.json", {"top_simplices": [[0, 1, big], [1, big, 7], [0, 7]]})
+    assert main(["betti", path]) == 0
+    assert capsys.readouterr().out == '{"betti": [1, 1, 0]}\n'
+    assert main(["laplacian", path, "--dim", "1"]) == 0
+    assert capsys.readouterr().out == (
+        ",0-1,0-7,0-18446744073709551616,1-7,1-18446744073709551616,7-18446744073709551616\n"
+        "0-1,3.0,1.0,0.0,-1.0,0.0,0.0\n"
+        "0-7,1.0,2.0,1.0,1.0,0.0,-1.0\n"
+        "0-18446744073709551616,0.0,1.0,3.0,0.0,0.0,1.0\n"
+        "1-7,-1.0,1.0,0.0,3.0,0.0,0.0\n"
+        "1-18446744073709551616,0.0,0.0,0.0,0.0,4.0,0.0\n"
+        "7-18446744073709551616,0.0,-1.0,1.0,0.0,0.0,3.0\n"
+    )
+    c = io.parse_complex(io.load_json(path))
+    assert c.vertices == (0, 1, 7, big)
+    adjacency = np.array([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]], dtype=float)
+    assert np.array_equal(c.adjacency_matrix().toarray(), adjacency)
+    assert np.array_equal(c.degree_matrix().toarray(), np.diag([3.0, 3, 3, 3]))
+
+
 def test_cli_spectra_compare(triangle_file, capsys):
     assert main(["spectra-compare", triangle_file]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hodgekit import (
+    Simplex,
     betti,
     build_complex,
     coboundary_matrix,
@@ -200,6 +201,17 @@ def test_sheaf_validation_errors():
             {(0,): 1, (1,): 1, (0, 1): 1},
             {((0,), (0, 1)): np.eye(1), ((1,), (0, 1)): np.eye(1), ((0,), (1,)): np.eye(1)},
         )
+
+
+def test_restriction_needs_an_incident_pair():
+    line = build_complex([[0, 1], [1, 2]])
+    stalks = {(0,): 1, (1,): 1, (2,): 1, (0, 1): 0, (1, 2): 0}
+    with pytest.raises(ValueError, match="not an incident pair"):
+        Sheaf(line, stalks, {((2,), (0, 1)): np.zeros((0, 1))})
+    sh = Sheaf(line, stalks, {})
+    assert sh.restriction(Simplex((1,)), Simplex((0, 1))).shape == (0, 1)
+    with pytest.raises(MissingRestriction):
+        sh.restriction(Simplex((2,)), Simplex((0, 1)))
 
 
 def test_non_commuting_restrictions_rejected():
