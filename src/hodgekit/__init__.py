@@ -33,7 +33,6 @@ from .hodge import (
 from .homology import (
     RankProfile,
     betti,
-    betti_checked,
     connected_components,
     rank_gf2,
     rank_real,
@@ -80,7 +79,6 @@ __all__ = [
     "apply",
     "apply_filter",
     "betti",
-    "betti_checked",
     "boundary_matrix",
     "build_complex",
     "build_filter",

@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 when inputs fail to parse or validate, 3 when
-a numerical cross-check fails (for example the two coefficient fields
-disagreeing on Betti numbers).
+Exit codes: 0 on success, 2 when inputs fail to parse or validate, 3 on
+numerical trouble: a numerical check that fails, or a result that is not
+finite and so cannot be written as strict JSON.  Betti numbers are exact in
+both fields and never exit 3; `betti --field` picks the field, and a
+complex with 2-torsion (the real projective plane) has different GF(2) and
+rational answers.  The argument parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .chains import Cochain, Field, boundary_matrix
 from .errors import BadParams, HodgekitError, NumericalFailure
 from .filters import apply_filter, build_filter
 from .hodge import hodge_decompose, hodge_laplacian, symmetrized
-from .homology import betti_checked
+from .homology import betti
 from .sheaf import check_consistency, sheaf_cohomology_dims
 from .spectral import compare_spectra, eigendecompose, inverse_sft, sft
 
@@ -34,7 +37,12 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(obj, output: str | None) -> None:
-    _emit(json.dumps(obj), output)
+    """Write obj as strict JSON; a NaN or infinite value is a NumericalFailure."""
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError:
+        raise NumericalFailure("the result has a NaN or infinite value") from None
+    _emit(text, output)
 
 
 def _load_complex(path: str):
@@ -56,11 +64,9 @@ def _tol(args) -> dict:
 
 def _cmd_betti(args) -> int:
     c = _load_complex(args.complex)
-    # Both fields are always computed and compared; they agree whenever
-    # this returns, so the --field switch only picks the dump field below.
-    values = betti_checked(c)
+    field = Field(args.field)
+    values = betti(c, field)
     if args.dump_matrix:
-        field = Field.GF2 if args.field == "gf2" else Field.REAL
         for n in range(1, c.max_dim + 1):
             m = boundary_matrix(c, n, field)
             csv_text = io.matrix_to_csv(m, _labels(c, n - 1), _labels(c, n))
@@ -289,9 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except NumericalFailure as exc:

@@ -67,7 +67,3 @@ class FormatError(HodgekitError):
 
 class NumericalFailure(HodgekitError):
     """A numerical result failed a correctness check."""
-
-
-class FieldDisagreement(NumericalFailure):
-    """GF(2) and real Betti numbers disagree, indicating numerical trouble."""

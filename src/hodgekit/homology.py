@@ -2,21 +2,26 @@
 
 Betti numbers come straight from two boundary-matrix ranks per dimension:
 b_n = (#C_n - rank d_n) - rank d_{n+1}, with d_0 the zero map (every vertex
-is a cycle) and the map above the top dimension empty; each d_n is ranked
-once and used on both sides.  GF(2) elimination is exact and serves as the
-reference; real elimination is tolerance-based, and a disagreement between
-the two is reported as a diagnostic rather than silently resolved.
+is a cycle) and the map above the top dimension empty.  Boundary maps are
+integer matrices, so their ranks are exact in both fields: rank d_1 is
+|V| minus the number of connected components, and d_2..d_max are reduced
+sparsely, column by column and top-down with clearing, over GF(2) on
+bitset columns and over Z/p on {row: value} columns.  A difference between
+the GF(2) and rational Betti numbers is 2-torsion, not numerical trouble.
+Tolerance-based real elimination remains for real-valued matrices such as
+sheaf coboundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Container
 
 import numpy as np
 
 from .chains import Field, SparseMatrix, boundary_matrix
-from .errors import FieldDisagreement, FieldMismatch
+from .errors import FieldMismatch
 
 if TYPE_CHECKING:
     from .complex import SimplicialComplex
@@ -39,24 +44,11 @@ def _check_tol(tol: float | None) -> None:
 
 
 def rank_gf2(m: SparseMatrix) -> RankProfile:
-    """Exact GF(2) rank by xor row reduction with first-nonzero pivoting."""
+    """Exact GF(2) rank by sparse column reduction on bitset columns."""
     if m.field_tag is not Field.GF2:
         raise FieldMismatch("rank_gf2 needs a GF(2) matrix")
-    a = m.toarray()
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        (below,) = a[rank:, col].nonzero()
-        if below.size == 0:
-            continue
-        below += rank
-        if below[0] != rank:
-            a[[rank, below[0]]] = a[[below[0], rank]]
-        a[below[1:], col:] ^= a[rank, col:]
-        rank += 1
-        if rank == rows:
-            break
-    return RankProfile(rank, cols - rank, cols)
+    rank = len(_reduce_gf2(m))
+    return RankProfile(rank, m.cols - rank, m.cols)
 
 
 def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
@@ -154,34 +146,98 @@ def replay_gf2_ops(
     return a
 
 
-def _betti(c: SimplicialComplex, maps: list[SparseMatrix], rank) -> list[int]:
-    """Betti numbers from the boundary maps d_1..d_max and a rank kernel."""
-    ranks = [0, *(rank(d).rank for d in maps), 0]  # d_0 and the map above the top are zero
-    return [c.n_simplices(n) - ranks[n] - ranks[n + 1] for n in range(c.max_dim + 1)]
+# Two primes below 2**31.  A rank mod p never exceeds the rational rank, and equals
+# it unless p divides one of the matrix's elementary divisors.
+_PRIMES = (2**31 - 1, 2**31 - 19)
+
+
+def _reduce_gf2(m: SparseMatrix, skip: Container[int] = ()) -> dict[int, int]:
+    """Column-reduce m over GF(2); the reduced columns keyed by pivot row.
+
+    Each column is a Python int with bit r set for a nonzero in row r, and
+    its pivot is its highest set bit.  Entries are read mod 2 (boundary
+    entries are +-1).  Columns whose index is in skip are left out.
+    """
+    columns = [0] * m.cols
+    for r, j in zip(m.row.tolist(), m.col.tolist()):
+        columns[j] |= 1 << r
+    reduced: dict[int, int] = {}
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
+        while col:
+            low = col.bit_length() - 1
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = col
+                break
+            col ^= other
+    return reduced
+
+
+def _reduce_mod_p(m: SparseMatrix, p: int, skip: Container[int] = ()) -> dict[int, dict]:
+    """Column-reduce an integer matrix over Z/p; reduced columns keyed by pivot row.
+
+    Each column is a {row: value mod p} dict, its pivot is its largest row,
+    and a stored column is scaled so that its pivot entry is 1.  Columns
+    whose index is in skip are left out.
+    """
+    columns: list[dict[int, int]] = [{} for _ in range(m.cols)]
+    for r, j, v in zip(m.row.tolist(), m.col.tolist(), m.data.tolist()):
+        columns[j][r] = int(v) % p
+    reduced: dict[int, dict[int, int]] = {}
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
+        while col:
+            low = max(col)
+            other = reduced.get(low)
+            if other is None:
+                inverse = pow(col[low], -1, p)
+                reduced[low] = {r: v * inverse % p for r, v in col.items()}
+                break
+            factor = col[low]
+            for r, v in other.items():
+                x = (col.get(r, 0) - factor * v) % p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return reduced
+
+
+def _cleared_ranks(maps: list[SparseMatrix], reduce) -> list[int]:
+    """Ranks of the consecutive boundary maps d_k..d_max, reduced top-down.
+
+    Clearing: a column of d_n whose index is a pivot row of the reduced
+    d_{n+1} is skipped.  The reduced columns of d_{n+1} are cycles of d_n
+    with distinct pivots, so each skipped column of d_n is a combination of
+    the others and the rank is unchanged.
+    """
+    ranks, pivots = [], {}
+    for d in reversed(maps):
+        pivots = reduce(d, skip=pivots)
+        ranks.insert(0, len(pivots))
+    return ranks
 
 
 def betti(c: SimplicialComplex, field_tag: Field = Field.GF2) -> list[int]:
-    """Betti numbers b_0..b_max: counts of n-dimensional voids."""
-    rank = rank_gf2 if field_tag is Field.GF2 else rank_real
-    return _betti(c, [boundary_matrix(c, n, field_tag) for n in range(1, c.max_dim + 1)], rank)
+    """Betti numbers b_0..b_max over GF(2) or the rationals (Field.REAL).
 
-
-def betti_checked(c: SimplicialComplex) -> list[int]:
-    """Betti numbers computed in both fields, raising if they disagree.
-
-    Torsion is out of scope, so the fields must agree; a mismatch means
-    the real-rank tolerance misjudged a pivot.  Each boundary map is built
-    once: its entries are +-1, so reducing it mod 2 gives the GF(2) map.
+    Both are exact.  They differ only when the integral homology has
+    2-torsion: the real projective plane gives [1, 1, 1] over GF(2) and
+    [1, 0, 0] over the rationals.  The rational rank of each d_n is the
+    larger of its ranks mod two primes below 2**31.
     """
-    real = [boundary_matrix(c, n, Field.REAL) for n in range(1, c.max_dim + 1)]
-    gf2 = [SparseMatrix.from_coo(*d.shape, d.row, d.col, d.data, Field.GF2) for d in real]
-    exact = _betti(c, gf2, rank_gf2)
-    numeric = _betti(c, real, rank_real)
-    if exact != numeric:
-        raise FieldDisagreement(
-            f"GF(2) Betti {exact} != real Betti {numeric}"
-        )
-    return exact
+    maps = [boundary_matrix(c, n, field_tag) for n in range(2, c.max_dim + 1)]
+    if field_tag is Field.GF2:
+        upper = _cleared_ranks(maps, _reduce_gf2)
+    else:
+        per_prime = [_cleared_ranks(maps, partial(_reduce_mod_p, p=p)) for p in _PRIMES]
+        upper = [max(ranks) for ranks in zip(*per_prime)]
+    # d_0 and the map above the top are zero; rank d_1 = |V| - #components.
+    ranks = [0, c.n_simplices(0) - connected_components(c), *upper, 0]
+    return [c.n_simplices(n) - ranks[n] - ranks[n + 1] for n in range(c.max_dim + 1)]
 
 
 def connected_components(c: SimplicialComplex) -> int:

@@ -39,6 +39,35 @@ CORPUS: dict[str, SimplicialComplex] = {
 }
 
 
+def klein_bottle_tops() -> list[list[int]]:
+    """4x4 grid with opposite sides glued, one pair with a flip: counts [16, 48, 32]."""
+
+    def vertex(i: int, j: int) -> int:
+        return i % 4 + 4 * j if j < 4 else -i % 4
+
+    tops = []
+    for j in range(4):
+        for i in range(4):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
+            tops += [[a, b, d], [a, c, d]]
+    return tops
+
+
+# Complexes with 2-torsion in integral homology, so the two fields disagree:
+# name -> (top simplices, GF(2) Betti, rational Betti).  Kept out of CORPUS,
+# whose tests assert that the fields agree.
+TORSION: dict[str, tuple[list[list[int]], list[int], list[int]]] = {
+    "rp2": (
+        [[0, 1, 3], [0, 1, 5], [0, 2, 4], [0, 2, 5], [0, 3, 4],
+         [1, 2, 3], [1, 2, 4], [1, 4, 5], [2, 3, 5], [3, 4, 5]],
+        [1, 1, 1],
+        [1, 0, 0],
+    ),
+    "klein4x4": (klein_bottle_tops(), [1, 2, 1], [1, 1, 0]),
+}
+
+
 @pytest.fixture(params=sorted(CORPUS), ids=sorted(CORPUS))
 def corpus_complex(request) -> SimplicialComplex:
     return CORPUS[request.param]
@@ -52,6 +81,23 @@ def random_complex(rng: np.random.Generator, n_vertices: int = 7) -> SimplicialC
         verts = rng.choice(n_vertices, size=size, replace=False)
         tops.append(sorted(int(v) for v in verts))
     return build_complex(tops)
+
+
+def random_clique_complex(
+    rng: np.random.Generator, n_vertices: int, p: float, max_dim: int = 3
+) -> SimplicialComplex:
+    """Clique (flag) complex of a G(n, p) graph, cliques up to max_dim + 1 vertices."""
+    adjacent = np.triu(rng.random((n_vertices, n_vertices)) < p, 1)
+    adjacent |= adjacent.T
+    cliques = [[v] for v in range(n_vertices)]
+    frontier = cliques
+    for _ in range(max_dim):
+        frontier = [
+            s + [v] for s in frontier for v in range(s[-1] + 1, n_vertices)
+            if all(adjacent[u, v] for u in s)
+        ]
+        cliques += frontier
+    return build_complex(cliques)
 
 
 LEFT_SHIFT = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])

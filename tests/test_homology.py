@@ -1,6 +1,7 @@
 """Rank computation, diagonal reduction, Betti numbers, components."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hodgekit import (
     Field,
     SparseMatrix,
     betti,
-    betti_checked,
     boundary_matrix,
     build_complex,
     compare_spectra,
@@ -30,10 +30,11 @@ from hodgekit import (
 )
 from hodgekit import generators as gen
 from hodgekit import homology
+from hodgekit.cli import main
 from hodgekit.errors import FieldMismatch
 from hodgekit.sheaf import Assignment, check_consistency
 
-from conftest import CORPUS, random_complex
+from conftest import CORPUS, CORPUS_TOPS, TORSION, random_clique_complex, random_complex
 
 TRIANGLE = build_complex([[0, 1, 2]])
 
@@ -133,7 +134,6 @@ def test_betti_golden_values():
 
 def test_betti_fields_agree(corpus_complex):
     assert betti(corpus_complex, Field.GF2) == betti(corpus_complex, Field.REAL)
-    assert betti_checked(corpus_complex) == betti(corpus_complex, Field.GF2)
 
 
 def test_connected_components_examples():
@@ -372,8 +372,9 @@ def test_library_tolerances_fail_closed(name, tol):
         TOLERANT_CALLS[name](tol)
 
 
-def test_betti_checked_builds_each_boundary_map_once(monkeypatch):
-    c = CORPUS["torus7"]
+@pytest.mark.parametrize("field_tag", [Field.GF2, Field.REAL])
+def test_betti_builds_each_boundary_map_once(monkeypatch, field_tag):
+    c = CORPUS["tetra"]
     calls = []
     original = homology.boundary_matrix
 
@@ -382,5 +383,78 @@ def test_betti_checked_builds_each_boundary_map_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(homology, "boundary_matrix", counted)
-    assert betti_checked(c) == [1, 2, 1]
-    assert len(calls) == c.max_dim
+    assert betti(c, field_tag) == [1, 0, 0, 0]
+    # d_1 is never built: its rank is |V| minus the number of components.
+    assert sorted(calls) == [(n, field_tag) for n in range(2, c.max_dim + 1)]
+
+
+def euler_characteristic(values) -> int:
+    return sum((-1) ** n * v for n, v in enumerate(values))
+
+
+@pytest.mark.parametrize("name", sorted(TORSION))
+def test_torsion_known_answers(name):
+    tops, gf2, rational = TORSION[name]
+    c = build_complex(tops)
+    counts = [c.n_simplices(n) for n in range(c.max_dim + 1)]
+    assert counts == {"rp2": [6, 15, 10], "klein4x4": [16, 48, 32]}[name]
+    assert betti(c) == betti(c, Field.GF2) == gf2
+    assert betti(c, Field.REAL) == rational
+    assert euler_characteristic(gf2) == euler_characteristic(rational) == euler_characteristic(counts)
+
+
+def dense_betti(c, field_tag: Field, rank) -> list[int]:
+    """Betti numbers from dense full-row elimination of every d_n, d_1 included."""
+    ranks = [0, *(rank(boundary_matrix(c, n, field_tag)).rank for n in range(1, c.max_dim + 1)), 0]
+    return [c.n_simplices(n) - ranks[n] - ranks[n + 1] for n in range(c.max_dim + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(1, 9),
+    p=st.sampled_from([0.2, 0.5, 0.8, 0.95]),
+    torsion=st.sampled_from([None, *sorted(TORSION)]),
+)
+def test_betti_properties_on_random_clique_complexes(seed, n_vertices, p, torsion):
+    """Clique complexes, optionally beside a relabelled RP^2 or Klein bottle."""
+    rng = np.random.default_rng(seed)
+    c = random_clique_complex(rng, n_vertices, p)
+    if torsion is not None:
+        tops = TORSION[torsion][0]
+        labels = n_vertices + rng.permutation(max(map(max, tops)) + 1)
+        cliques = [list(s.vertices) for k in range(c.max_dim + 1) for s in c.simplices(k)]
+        c = build_complex(cliques + [[int(labels[v]) for v in top] for top in tops])
+    gf2, rational = betti(c, Field.GF2), betti(c, Field.REAL)
+    counts = [c.n_simplices(n) for n in range(c.max_dim + 1)]
+    assert euler_characteristic(gf2) == euler_characteristic(rational) == euler_characteristic(counts)
+    assert all(g >= q for g, q in zip(gf2, rational))
+    for n in range(1, c.max_dim + 1):
+        d = boundary_matrix(c, n, Field.GF2)
+        assert rank_gf2(d) == reference_rank_gf2(d)
+    assert gf2 == dense_betti(c, Field.GF2, reference_rank_gf2)
+    assert rational == dense_betti(c, Field.REAL, reference_rank_real)
+
+
+def test_betti_never_densifies(monkeypatch, tmp_path, capsys):
+    big = random_clique_complex(np.random.default_rng(4), 128, 0.12, max_dim=2)
+    assert 900 <= big.n_simplices(1) <= 1100
+    cases = {"torus7": CORPUS["torus7"], "big": big}
+    oracles = {Field.GF2: reference_rank_gf2, Field.REAL: reference_rank_real}
+    expected = {
+        name: {f: dense_betti(c, f, rank) for f, rank in oracles.items()}
+        for name, c in cases.items()
+    }
+
+    def refuse(self):
+        raise AssertionError(f"toarray on {self!r}")
+
+    monkeypatch.setattr(SparseMatrix, "toarray", refuse)
+    for name, c in cases.items():
+        path = tmp_path / f"{name}.json"
+        tops = [list(s.vertices) for k in range(c.max_dim + 1) for s in c.simplices(k)]
+        path.write_text(json.dumps({"top_simplices": tops}), encoding="utf-8")
+        for f in Field:
+            assert betti(c, f) == expected[name][f]
+            assert main(["betti", str(path), "--field", f.value]) == 0
+            assert capsys.readouterr().out == json.dumps({"betti": expected[name][f]}) + "\n"

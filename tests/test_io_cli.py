@@ -1,16 +1,25 @@
 """File formats and the command-line interface."""
 
+import contextlib
+import io as stdio
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import hodgekit
 from hodgekit import Field, SparseMatrix, betti
 from hodgekit import io
 from hodgekit.cli import main
 from hodgekit.errors import FormatError
 
-from conftest import CORPUS_TOPS, LEFT_SHIFT, DROP_LAST
+from conftest import CORPUS_TOPS, LEFT_SHIFT, DROP_LAST, TORSION
 
 
 def write_json(path, obj) -> str:
@@ -100,6 +109,17 @@ def test_cli_betti_torus(torus_file, tmp_path, capsys):
     out = tmp_path / "betti.json"
     assert main(["betti", torus_file, "-o", str(out)]) == 0
     assert json.loads(out.read_text()) == {"betti": [1, 2, 1]}
+
+
+@pytest.mark.parametrize("name", sorted(TORSION))
+def test_cli_betti_torsion_exits_0_in_both_fields(name, tmp_path, capsys):
+    tops, gf2, rational = TORSION[name]
+    path = write_json(tmp_path / f"{name}.json", {"top_simplices": tops})
+    for flags, expected in (([], gf2), (["--field", "gf2"], gf2), (["--field", "real"], rational)):
+        assert main(["betti", path, *flags]) == 0
+        out = capsys.readouterr()
+        assert out.out == json.dumps({"betti": expected}) + "\n"
+        assert out.err == ""
 
 
 def test_cli_betti_rejects_empty_complex(tmp_path, capsys):
@@ -246,6 +266,65 @@ def test_cli_filter(triangle_file, tmp_path, capsys):
     assert out == {"dim": 1, "values": [1.0, 2.0, 3.0]}
 
 
+def test_cli_filter_overflow_is_numerical_failure(triangle_file, tmp_path, capsys):
+    signal = write_json(tmp_path / "s.json", {"dim": 1, "values": [1e300] * 3})
+    spec = write_json(tmp_path / "f.json", {"dim": 1, "alpha0": 0, "down": [1e300, 1e300], "up": []})
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:  # numpy overflow warnings too
+        warnings.simplefilter("always")
+        assert main(["filter", triangle_file, signal, spec]) == 3
+        assert main(["filter", triangle_file, signal, spec, "-o", str(out)]) == 3
+    assert any("magnitude exceeds 1e12" in str(w.message) for w in caught)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+    assert not out.exists()
+
+
+def finite_float(text: str) -> float:
+    """json.loads hook: NaN, Infinity and overflowing literals are errors."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite JSON number {text}")
+    return value
+
+
+EXTREME = st.sampled_from([0.0, 1.0, -2.5, 1e-300, 1e150, -1e300, 1e300, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["sft", "decompose", "filter", "sheaf-check"]),
+    values=st.lists(EXTREME, min_size=3, max_size=3),
+    coeffs=st.lists(EXTREME, min_size=1, max_size=3),
+)
+def test_no_json_command_exits_0_with_non_finite_output(tmp_path_factory, command, values, coeffs):
+    """Finite but extreme inputs either fail (exit 2 or 3) or print finite strict JSON."""
+    d = tmp_path_factory.mktemp("extreme")
+    tri = write_json(d / "tri.json", {"top_simplices": [[0, 1], [1, 2], [0, 2]]})
+    signal = write_json(d / "s.json", {"dim": 1, "values": values})
+    if command == "filter":
+        spec = {"dim": 1, "alpha0": coeffs[0], "down": coeffs[1:], "up": coeffs[2:]}
+        argv = ["filter", tri, signal, write_json(d / "f.json", spec)]
+    elif command == "sheaf-check":
+        complex_file, sheaf_file = shift_register_files(d)
+        blocks = {"dim": 0, "blocks": [values, [coeffs[0]] * 3, values[::-1]]}
+        argv = ["sheaf-check", complex_file, sheaf_file, write_json(d / "a.json", blocks)]
+    else:
+        argv = [command, tri, signal, "--dim", "1"]
+    stdout = stdio.StringIO()
+    # Overflow warnings (numpy's, and the filter's magnitude warning) go to
+    # stderr in normal use; this property is about stdout and the exit code.
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(stdout.getvalue(), parse_constant=finite_float, parse_float=finite_float)
+    else:
+        assert stdout.getvalue() == ""
+
+
 def test_cli_sheaf_cohomology(tmp_path, capsys):
     complex_file, sheaf_file = shift_register_files(tmp_path)
     assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 0
@@ -373,3 +452,39 @@ def test_signal_json_roundtrip_through_cli_outputs(triangle_file, tmp_path, caps
     out = json.loads(capsys.readouterr().out)
     parsed = io.parse_signal(out)
     assert parsed.dimension == 1
+
+
+def run_in_process(argv: list[str], capsys) -> tuple[int, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def run_fresh_process(argv: list[str]) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(hodgekit.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "hodgekit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout
+
+
+def test_back_to_back_main_calls_match_fresh_processes(tmp_path, capsys):
+    """The parser is built once; consecutive calls must not see each other's options."""
+    rp2 = write_json(tmp_path / "rp2.json", {"top_simplices": TORSION["rp2"][0]})
+    sequence = [
+        ["betti", rp2, "--field", "real"],
+        ["betti", rp2],
+        ["betti", rp2, "--field", "bogus"],
+        ["generate", "cycle", "--n", "4"],
+        ["laplacian", rp2, "--dim", "7"],
+        ["betti", rp2, "--dump-matrix", str(tmp_path / "m_")],
+        ["spectra-compare", rp2],
+        ["generate", "cycle"],
+        ["betti", rp2],
+    ]
+    in_process = [run_in_process(argv, capsys) for argv in sequence]
+    assert in_process == [run_fresh_process(argv) for argv in sequence]
+    assert [code for code, _ in in_process] == [0, 0, 2, 0, 2, 0, 2, 2, 0]
