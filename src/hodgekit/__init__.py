@@ -19,7 +19,7 @@ from .chains import (
 )
 from .complex import Simplex, SimplicialComplex, build_complex
 from .errors import HodgekitError
-from .filters import FilterSpec, apply_filter, build_filter, shift
+from .filters import FilterSpec, apply_filter, build_filter, filter_signal, shift
 from .hodge import (
     HodgeOperators,
     InnerProductWeights,
@@ -89,6 +89,7 @@ __all__ = [
     "connected_components",
     "constant_sheaf",
     "eigendecompose",
+    "filter_signal",
     "gradient",
     "harmonic_basis",
     "hodge_decompose",

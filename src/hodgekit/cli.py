@@ -14,10 +14,12 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import generators, io
 from .chains import Cochain, Field, boundary_matrix
 from .errors import BadParams, HodgekitError, NumericalFailure
-from .filters import apply_filter, build_filter
+from .filters import filter_signal
 from .hodge import hodge_decompose, hodge_laplacian, symmetrized
 from .homology import betti
 from .sheaf import check_consistency, sheaf_cohomology_dims
@@ -112,7 +114,8 @@ def _cmd_decompose(args) -> int:
     irrot, harmonic, solenoid = hodge_decompose(signal, c, args.dim, weights, **_tol(args))
 
     def norm(x: Cochain) -> float:
-        return float((x.values @ x.values) ** 0.5)
+        peak = float(np.max(np.abs(x.values), initial=0.0))
+        return peak * float(np.linalg.norm(x.values / peak)) if peak else 0.0
 
     _emit_json(
         {
@@ -136,8 +139,7 @@ def _cmd_filter(args) -> int:
     signal = io.parse_signal(io.load_json(args.signal))
     spec = io.parse_filter(io.load_json(args.filter))
     ops = hodge_laplacian(c, spec.dimension)
-    h = build_filter(spec, ops)
-    _emit_json(io.signal_to_obj(apply_filter(h, signal)), args.output)
+    _emit_json(io.signal_to_obj(filter_signal(spec, ops, signal)), args.output)
     return 0
 
 

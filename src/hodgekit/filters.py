@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -45,34 +47,65 @@ class FilterSpec:
             raise ValueError(f"filter degree {degree} exceeds {MAX_DEGREE}")
 
 
-def _polynomial(base: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    out = np.zeros_like(base)
-    power = np.eye(base.shape[0])
-    for coeff in coeffs:
-        power = power @ base
-        if coeff:
-            out += coeff * power
-    return out
+def _evaluate(
+    spec: FilterSpec,
+    ops: HodgeOperators,
+    x: np.ndarray,
+    operator: Callable[[SparseMatrix], Callable[[np.ndarray], np.ndarray]],
+) -> np.ndarray:
+    """alpha0 x plus each branch's polynomial times x, by Horner's rule.
 
-
-def build_filter(spec: FilterSpec, ops: HodgeOperators) -> SparseMatrix:
-    """Evaluate the filter polynomial on the given dimension's Laplacians."""
+    operator(L) is the product v -> L v.  A branch of degree K costs K
+    products, acc = L (acc + c_k x) from the highest k down.
+    """
     if spec.dimension != ops.dimension:
         raise ShapeMismatch(
             f"filter dimension {spec.dimension} != operators dimension {ops.dimension}"
         )
-    size = ops.size
-    h = spec.alpha0 * np.eye(size)
-    h += _polynomial(ops.down.toarray(), spec.down_coeffs)
-    h += _polynomial(ops.up.toarray(), spec.up_coeffs)
+    out = spec.alpha0 * x
+    for laplacian, coeffs in ((ops.down, spec.down_coeffs), (ops.up, spec.up_coeffs)):
+        multiply, acc = operator(laplacian), np.zeros_like(x)
+        for coeff in reversed(coeffs):
+            acc = multiply(acc + coeff * x)
+        out = out + acc
+    return out
+
+
+def _warn_magnitude(text: str) -> None:
+    warnings.warn(
+        f"filter {text}; iterated Laplacian powers grow as lambda_max^k",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
+def build_filter(spec: FilterSpec, ops: HodgeOperators) -> SparseMatrix:
+    """The filter matrix H, evaluated on the identity with dense products.
+
+    Costs n^2 memory and K n^3 time; filter_signal applies the same
+    polynomial to one signal without forming H.
+    """
+    h = _evaluate(spec, ops, np.eye(ops.size), lambda m: partial(np.matmul, m.toarray()))
     if h.size and np.max(np.abs(h)) > MAGNITUDE_WARN:
-        warnings.warn(
-            "filter matrix magnitude exceeds 1e12; iterated Laplacian powers "
-            "grow as lambda_max^k",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn_magnitude("matrix magnitude exceeds 1e12")
     return SparseMatrix.from_dense(h, Field.REAL)
+
+
+def filter_signal(spec: FilterSpec, ops: HodgeOperators, s: Cochain) -> Cochain:
+    """H s by sparse mat-vecs with the Laplacians, without forming H.
+
+    Warns when the output peak is above 1e12 times the input peak or is not
+    finite.
+    """
+    if len(s) != ops.size:
+        raise ShapeMismatch(f"operators have size {ops.size}, cochain length {len(s)}")
+    out = _evaluate(
+        spec, ops, s.values, lambda m: lambda v: apply(m, Cochain(s.dimension, v, s.field)).values
+    )
+    scale = np.max(np.abs(s.values), initial=0.0)
+    if not np.max(np.abs(out), initial=0.0) <= MAGNITUDE_WARN * scale:
+        _warn_magnitude("output magnitude exceeds 1e12 times the input's")
+    return Cochain(s.dimension, out, s.field)
 
 
 def apply_filter(h: SparseMatrix, s: Cochain) -> Cochain:

@@ -40,6 +40,9 @@ from .spectral import HARMONIC_RTOL, eigendecompose
 if TYPE_CHECKING:
     from .complex import SimplicialComplex
 
+CG_RTOL = 1e-12
+CG_MAX_ITER_PER_UNKNOWN = 10
+
 
 class InnerProductWeights:
     """Strictly positive diagonal weights per chain dimension.
@@ -195,16 +198,41 @@ def harmonic_basis(ops: HodgeOperators, tol: float | None = None) -> list[Cochai
     return out
 
 
-def _weighted_projection(
-    columns: np.ndarray, target: np.ndarray, sqrt_w: np.ndarray
-) -> np.ndarray:
-    """Least-squares projection of target onto span(columns), weighted."""
-    if columns.shape[1] == 0:
-        return np.zeros_like(target)
-    coeffs, *_ = np.linalg.lstsq(
-        columns * sqrt_w[:, np.newaxis], target * sqrt_w, rcond=None
-    )
-    return columns @ coeffs
+def _weighted_projection(b: SparseMatrix, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W-orthogonal projection b x of s onto the image of b.
+
+    x solves b^T W b x = b^T W s by conjugate gradients from x = 0, with
+    sparse mat-vecs.  The stop bound on the residual is CG_RTOL times
+    |b|^T W |s|, the size of the terms summed into the right-hand side, so
+    a right-hand side that is only rounding stops at once.  A non-positive
+    curvature, or CG_MAX_ITER_PER_UNKNOWN iterations per unknown without
+    meeting the bound, raises NumericalFailure.
+    """
+
+    def b_times(v: np.ndarray) -> np.ndarray:
+        return np.bincount(b.row, b.data * v[b.col], b.rows)
+
+    def bt_times(y: np.ndarray, data: np.ndarray = b.data) -> np.ndarray:
+        return np.bincount(b.col, data * y[b.row], b.cols)
+
+    x, r = np.zeros(b.cols), bt_times(w * s)
+    stop = (CG_RTOL * np.linalg.norm(bt_times(w * np.abs(s), np.abs(b.data)))) ** 2
+    p, rr = r.copy(), float(r @ r)
+    for _ in range(CG_MAX_ITER_PER_UNKNOWN * b.cols):
+        if rr <= stop:
+            break
+        ap = bt_times(w * b_times(p))
+        curvature = float(p @ ap)
+        if not curvature > 0:
+            raise NumericalFailure("conjugate gradients met a non-positive curvature")
+        alpha = rr / curvature
+        x += alpha * p
+        r -= alpha * ap
+        rr, rr_old = float(r @ r), rr
+        p = r + (rr / rr_old) * p
+    if not rr <= stop:
+        raise NumericalFailure("conjugate gradients did not converge")
+    return b_times(x)
 
 
 def hodge_decompose(
@@ -218,12 +246,16 @@ def hodge_decompose(
 
     The irrotational part lives in the image of the adjoint boundary from
     below, the solenoidal part in the image of the boundary from above,
-    and the harmonic remainder in the Laplacian kernel.  The parts are
-    mutually orthogonal for the weighted inner product; tol bounds both
-    the allowed orthogonality defect (relative to |s|^2) and the kernel
-    residual of the harmonic part (relative to |s|), and violations raise
-    NumericalFailure; a NaN or infinity in the signal fails them too.  A
-    NaN, infinite or negative tol raises ValueError.
+    and the harmonic remainder in the Laplacian kernel.  Each image part is
+    a weighted least-squares projection solved by conjugate gradients
+    (see _weighted_projection).  The parts are mutually orthogonal for the
+    weighted inner product; tol bounds both the allowed orthogonality
+    defect (relative to |s|^2) and the kernel residual of the harmonic part
+    (relative to |s|), and violations raise NumericalFailure, as does a NaN
+    or infinity in the signal.  The work is done on s divided by a power of
+    two that brings its largest entry into [0.5, 1), so scaling s by a
+    power of two scales the parts exactly.  A NaN, infinite or negative tol
+    raises ValueError.
     """
     _check_tol(tol)
     if s.dimension != n:
@@ -232,19 +264,17 @@ def hodge_decompose(
         raise ShapeMismatch(
             f"signal length {len(s)} != {c.n_simplices(n)} simplices"
         )
+    if not np.all(np.isfinite(s.values)):
+        raise NumericalFailure("signal has a NaN or infinite value")
     w = w or InnerProductWeights.ones()
     ops = hodge_laplacian(c, n, w)
-    sqrt_w = np.sqrt(ops.weight_vector)
-    values = s.values
+    exponent = int(np.frexp(np.max(np.abs(s.values), initial=0.0))[1])
+    values = np.ldexp(s.values, -exponent)
 
-    if ops.from_below is not None:
-        irrot = _weighted_projection(ops.from_below.toarray(), values, sqrt_w)
-    else:
-        irrot = np.zeros_like(values)
-    if ops.from_above is not None:
-        solenoid = _weighted_projection(ops.from_above.toarray(), values, sqrt_w)
-    else:
-        solenoid = np.zeros_like(values)
+    irrot, solenoid = (
+        np.zeros_like(values) if b is None else _weighted_projection(b, values, ops.weight_vector)
+        for b in (ops.from_below, ops.from_above)
+    )
     harmonic = values - irrot - solenoid
 
     norm_sq = float(np.sum(ops.weight_vector * values * values))
@@ -256,11 +286,7 @@ def hodge_decompose(
     if not np.linalg.norm(residual) <= tol * np.linalg.norm(values) + 1e-300:
         raise NumericalFailure("harmonic part is not in the Laplacian kernel")
 
-    return (
-        Cochain(n, irrot),
-        Cochain(n, harmonic),
-        Cochain(n, solenoid),
-    )
+    return tuple(Cochain(n, np.ldexp(part, exponent)) for part in (irrot, harmonic, solenoid))
 
 
 def gradient(c: SimplicialComplex, f: Cochain) -> Cochain:

@@ -1,22 +1,29 @@
 """Polynomial filters: construction, shift semantics, algebraic properties."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgekit import (
     Cochain,
     FilterSpec,
+    InnerProductWeights,
     apply_filter,
     build_filter,
     compose,
     eigendecompose,
+    filter_signal,
     harmonic_basis,
     hodge_laplacian,
+    sheaf_laplacian,
     shift,
 )
+from hodgekit.chains import REAL_ZERO_TOL
 from hodgekit.errors import ShapeMismatch
 
-from conftest import CORPUS
+from conftest import CORPUS, gauge_sheaf, random_clique_complex
 
 TORUS_OPS = hodge_laplacian(CORPUS["torus7"], 1)
 
@@ -60,6 +67,75 @@ def test_magnitude_warning():
     spec = FilterSpec(1, 0.0, (), tuple([0.0] * 19 + [1.0]))
     with pytest.warns(RuntimeWarning):
         build_filter(spec, TORUS_OPS)
+
+
+def test_filter_signal_magnitude_warning():
+    s = Cochain(1, np.random.default_rng(8).standard_normal(TORUS_OPS.size))
+    with pytest.warns(RuntimeWarning, match="magnitude exceeds 1e12"):
+        filter_signal(FilterSpec(1, 0.0, (), tuple([0.0] * 19 + [1.0])), TORUS_OPS, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+        with pytest.warns(RuntimeWarning, match="magnitude exceeds 1e12"):
+            huge = Cochain(1, 1e300 * s.values)
+            filter_signal(FilterSpec(1, 0.0, (1e300, 1e300)), TORUS_OPS, huge)
+
+
+def test_filter_signal_is_silent_on_benchmark_like_spec():
+    rng = np.random.default_rng(9)
+    spec = FilterSpec(1, 0.75, (0.3, -0.02, 0.004), (-0.1, 0.05, -0.001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filter_signal(spec, TORUS_OPS, Cochain(1, rng.standard_normal(TORUS_OPS.size)))
+        filter_signal(spec, TORUS_OPS, Cochain(1, np.zeros(TORUS_OPS.size)))
+
+
+def test_filter_signal_errors():
+    with pytest.raises(ShapeMismatch):
+        filter_signal(FilterSpec(0, alpha0=1.0), TORUS_OPS, Cochain(1, np.zeros(TORUS_OPS.size)))
+    with pytest.raises(ShapeMismatch):
+        filter_signal(FilterSpec(1, alpha0=1.0), TORUS_OPS, Cochain(1, np.zeros(3)))
+
+
+def operator_cases():
+    """(name, ops) pairs: weighted and unweighted simplicial, and sheaf Laplacians."""
+    torus = CORPUS["torus7"]
+    rng = np.random.default_rng(41)
+    weights = InnerProductWeights({n: 0.5 + rng.random(torus.n_simplices(n)) for n in range(3)})
+    sheaf = gauge_sheaf(torus, seed=3)
+    clique = random_clique_complex(np.random.default_rng(2), 10, 0.6)
+    cases = []
+    for n in range(3):
+        cases += [
+            (f"torus7-{n}", hodge_laplacian(torus, n)),
+            (f"torus7-weighted-{n}", hodge_laplacian(torus, n, weights)),
+            (f"gauge-sheaf-{n}", sheaf_laplacian(torus, sheaf, n)),
+            (f"clique-{n}", hodge_laplacian(clique, n)),
+        ]
+    return cases
+
+
+OPERATOR_CASES = operator_cases()
+COEFFS = st.lists(st.floats(-2, 2, allow_nan=False), max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(OPERATOR_CASES),
+    alpha0=st.floats(-2, 2, allow_nan=False),
+    down=COEFFS,
+    up=COEFFS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_signal_matches_built_matrix(case, alpha0, down, up, seed):
+    _, ops = case
+    spec = FilterSpec(ops.dimension, alpha0, tuple(down), tuple(up))
+    s = Cochain(ops.dimension, np.random.default_rng(seed).standard_normal(ops.size))
+    want = apply_filter(build_filter(spec, ops), s).values
+    got = filter_signal(spec, ops, s).values
+    # The built H drops entries of magnitude at most REAL_ZERO_TOL, which
+    # moves each output entry by at most REAL_ZERO_TOL * |s|_1.
+    dropped = REAL_ZERO_TOL * np.sqrt(ops.size) * np.sum(np.abs(s.values))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want) + dropped
 
 
 def test_apply_filter_identity_and_errors():

@@ -1,7 +1,10 @@
 """Inner products, adjoints, Laplacians, harmonic spaces, decomposition."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgekit import (
     Cochain,
@@ -19,9 +22,11 @@ from hodgekit import (
     transpose,
 )
 from hodgekit import generators as gen
+from hodgekit import hodge
+from hodgekit.cli import main
 from hodgekit.errors import DimensionOutOfRange, NumericalFailure, ShapeMismatch
 
-from conftest import CORPUS
+from conftest import CORPUS, TORSION, random_clique_complex
 
 TRIANGLE_GRAPH = build_complex([[0, 1], [1, 2], [0, 2]])
 FILLED = build_complex([[0, 1, 2]])
@@ -240,6 +245,90 @@ def test_decompose_weighted_orthogonality():
         norm_sq = float(np.sum(weight_vec * s.values**2))
         for a, b in ((irrot, harmonic), (irrot, solenoid), (harmonic, solenoid)):
             assert abs(np.sum(weight_vec * a.values * b.values)) <= 1e-8 * norm_sq
+
+
+def _weighted_projection(
+    columns: np.ndarray, target: np.ndarray, sqrt_w: np.ndarray
+) -> np.ndarray:
+    """Least-squares projection of target onto span(columns), weighted."""
+    if columns.shape[1] == 0:
+        return np.zeros_like(target)
+    coeffs, *_ = np.linalg.lstsq(
+        columns * sqrt_w[:, np.newaxis], target * sqrt_w, rcond=None
+    )
+    return columns @ coeffs
+
+
+def dense_decompose(s: np.ndarray, c, n: int, w) -> list[np.ndarray]:
+    """Reference decomposition: dense lstsq projections onto both images."""
+    ops = hodge_laplacian(c, n, w)
+    sqrt_w = np.sqrt(ops.weight_vector)
+    irrot, solenoid = (
+        np.zeros_like(s) if b is None else _weighted_projection(b.toarray(), s, sqrt_w)
+        for b in (ops.from_below, ops.from_above)
+    )
+    return [irrot, s - irrot - solenoid, solenoid]
+
+
+ORACLE_COMPLEXES = {
+    "torus7": CORPUS["torus7"],
+    **{name: build_complex(tops) for name, (tops, _, _) in TORSION.items()},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from([None, *sorted(ORACLE_COMPLEXES)]),
+    weighted=st.booleans(),
+    harmonic=st.booleans(),
+)
+def test_cg_decomposition_matches_dense_lstsq(seed, name, weighted, harmonic):
+    """Conjugate gradients agree with the dense lstsq projections, in every dimension."""
+    rng = np.random.default_rng(seed)
+    if name is None:
+        c = random_clique_complex(rng, int(rng.integers(3, 12)), float(rng.uniform(0.3, 0.8)))
+    else:
+        c = ORACLE_COMPLEXES[name]
+    w = random_weights(c, rng) if weighted else None
+    for n in range(c.max_dim + 1):
+        s = rng.standard_normal(c.n_simplices(n))
+        if harmonic:
+            basis = harmonic_basis(hodge_laplacian(c, n, w))
+            s = sum((rng.standard_normal() * h.values for h in basis), np.zeros_like(s))
+        parts = hodge_decompose(Cochain(n, s), c, n, w)
+        for got, want in zip(parts, dense_decompose(s, c, n, w)):
+            assert np.linalg.norm(got.values - want) <= 1e-9 * np.linalg.norm(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(-500, 500), weighted=st.booleans())
+def test_decompose_scales_exactly_by_powers_of_two(seed, j, weighted):
+    rng = np.random.default_rng(seed)
+    c = random_clique_complex(rng, int(rng.integers(3, 12)), float(rng.uniform(0.3, 0.8)))
+    w = random_weights(c, rng) if weighted else None
+    for n in range(c.max_dim + 1):
+        s = rng.standard_normal(c.n_simplices(n))
+        parts = hodge_decompose(Cochain(n, s), c, n, w)
+        scaled = hodge_decompose(Cochain(n, np.ldexp(s, j)), c, n, w)
+        for part, scaled_part in zip(parts, scaled):
+            assert np.array_equal(scaled_part.values, np.ldexp(part.values, j))
+
+
+def test_cg_iteration_cap_is_numerical_failure(monkeypatch, tmp_path, capsys):
+    # In exact arithmetic CG converges in at most rank(b^T W b) steps, so a
+    # cap of one step per unknown would not bind; a cap of zero does.
+    monkeypatch.setattr(hodge, "CG_MAX_ITER_PER_UNKNOWN", 0)
+    c = CORPUS["torus7"]
+    values = np.random.default_rng(6).standard_normal(c.n_simplices(1))
+    with pytest.raises(NumericalFailure):
+        hodge_decompose(Cochain(1, values), c, 1)
+    complex_file, signal_file = tmp_path / "c.json", tmp_path / "s.json"
+    complex_file.write_text(json.dumps({"top_simplices": gen.torus()}), encoding="utf-8")
+    signal_file.write_text(json.dumps({"dim": 1, "values": values.tolist()}), encoding="utf-8")
+    assert main(["decompose", str(complex_file), str(signal_file), "--dim", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "did not converge" in captured.err
 
 
 def test_decompose_shape_errors():

@@ -212,6 +212,22 @@ def test_cli_decompose(torus_file, tmp_path, capsys):
     )
 
 
+def test_cli_decompose_large_cycle_signal_is_harmonic(triangle_file, tmp_path, capsys):
+    """A cycle near the top of the float range decomposes without overflow."""
+    values = [1e300, -1e300, 1e300]
+    signal = write_json(tmp_path / "s.json", {"dim": 1, "values": values})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["decompose", triangle_file, signal, "--dim", "1"]) == 0
+    stdout = capsys.readouterr().out
+    out = json.loads(stdout, parse_constant=finite_float, parse_float=finite_float)
+    assert out["harmonic"] == values
+    assert out["irrot"] == out["solenoid"] == [0.0, 0.0, 0.0]
+    assert out["norms"] == {
+        "irrot": 0.0, "harmonic": pytest.approx(3**0.5 * 1e300), "solenoid": 0.0
+    }
+
+
 def test_cli_decompose_impossible_tolerance_is_numerical_failure(
     torus_file, tmp_path, capsys
 ):
