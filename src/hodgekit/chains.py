@@ -143,7 +143,9 @@ class SparseMatrix:
         return (
             self.shape == other.shape
             and self.field_tag == other.field_tag
-            and self.entries == other.entries
+            and np.array_equal(self.row, other.row)
+            and np.array_equal(self.col, other.col)
+            and np.array_equal(self.data, other.data)
         )
 
     def __repr__(self) -> str:

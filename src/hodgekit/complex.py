@@ -10,6 +10,7 @@ is decided here too, once, in each dimension's face table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,7 +83,7 @@ class SimplicialComplex:
         if not tops:
             raise EmptySimplex("a complex needs at least one simplex")
         self._labels = tuple(sorted({v for top in tops for v in top}))
-        position = {v: p for p, v in enumerate(self._labels)}
+        self._position = position = {v: p for p, v in enumerate(self._labels)}
         longest = max(map(len, tops))
         self._arrays, self._tables, faces = [], [], np.zeros((0, longest), dtype=np.int64)
         # Each size's simplices are the faces one size up plus that size's tops; one unique
@@ -103,17 +104,14 @@ class SimplicialComplex:
     def max_dim(self) -> int:
         return len(self._arrays) - 1
 
-    def _built(self, n: int) -> tuple[tuple[Simplex, ...], dict[Simplex, int]]:
-        """The n-simplices as Simplex objects and their positions."""
-        if self._objects[n] is None:
-            rows = self._arrays[n].tolist()
-            objects = tuple(Simplex(tuple(self._labels[p] for p in row)) for row in rows)
-            self._objects[n] = objects, {s: j for j, s in enumerate(objects)}
-        return self._objects[n]
-
     def simplices(self, n: int) -> tuple[Simplex, ...]:
         """Canonically ordered n-simplices (empty tuple above max_dim)."""
-        return self._built(n)[0] if self.n_simplices(n) else ()
+        if not self.n_simplices(n):
+            return ()
+        if self._objects[n] is None:
+            rows = self._arrays[n].tolist()
+            self._objects[n] = tuple(Simplex(tuple(self._labels[p] for p in row)) for row in rows)
+        return self._objects[n]
 
     def n_simplices(self, n: int) -> int:
         if n < 0:
@@ -127,15 +125,45 @@ class SimplicialComplex:
             raise DimensionOutOfRange(f"boundary dimension {n} outside 1..{self.max_dim}")
         return self._tables[n - 1]
 
+    def _find(self, keys: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """Dimension and canonical position of each key (a Simplex, or vertex
+        labels in any order), one batch per dimension.  The first key that
+        Simplex or index would refuse raises what they raise (EmptySimplex,
+        InvalidVertex, DuplicateVertex, UnknownSimplex).  An n-simplex is
+        found by its key: the position of its first n vertices times the
+        vertex count plus its last vertex, increasing in canonical order."""
+        rows = [key.vertices if isinstance(key, Simplex) else key for key in keys]
+        flat = list(chain.from_iterable(rows))
+        if not set(map(type, flat)) <= {int}:  # labels other than (numpy) integers are not found
+            label = (int, np.integer)
+            flat = [v if isinstance(v, label) and not isinstance(v, bool) else None for v in flat]
+        ids = np.fromiter(map(self._position.get, flat, repeat(-1)), np.int64, len(flat))
+        width = np.fromiter(map(len, rows), np.int64, len(rows))
+        found, first, count = np.full(len(rows), -1), np.cumsum(width) - width, len(self._labels)
+        for size in set(width.tolist()) & set(range(1, self.max_dim + 2)):
+            at = np.flatnonzero(width == size)
+            row = np.sort(ids[first[at, None] + np.arange(size)], axis=1)
+            pos = np.where((row >= 0).all(axis=1), row[:, 0], -1)
+            for k in range(1, size):  # a repeated vertex has no key, so it is not found
+                key = pos * count + row[:, k]
+                stored = self._tables[k - 1][:, -1] * count + self._arrays[k][:, -1]
+                j = np.searchsorted(stored, key).clip(max=len(stored) - 1)
+                pos = np.where(stored[j] == key, j, -1)
+            found[at] = pos
+        if (found < 0).any():  # the first key not found; Simplex raises if its labels are bad
+            s = Simplex(tuple(rows[np.argmax(found < 0)]))
+            raise UnknownSimplex(f"{s} is not in the complex")
+        return width - 1, found
+
     def index(self, s: Simplex) -> int:
         """Position of s within its dimension's canonical order."""
-        try:
-            return self._built(s.dimension)[1][s]
-        except (IndexError, KeyError):  # IndexError: dimension above max_dim
-            raise UnknownSimplex(f"{s} is not in the complex") from None
+        return int(self._find([s])[1][0])
 
     def __contains__(self, s: Simplex) -> bool:
-        return s.dimension <= self.max_dim and s in self._built(s.dimension)[1]
+        try:
+            return self.index(s) >= 0
+        except UnknownSimplex:
+            return False
 
     def __len__(self) -> int:
         return sum(map(len, self._arrays))

@@ -157,6 +157,11 @@ def hodge_laplacian(
     side (d* = W_n^(-1) d^T W_(n-1)).  Missing boundary maps (below
     dimension 0, above the top dimension) contribute zero blocks.
     """
+    return _assemble(n, *_sides(c, n, w))
+
+
+def _sides(c: SimplicialComplex, n: int, w: InnerProductWeights | None) -> tuple:
+    """Weights on the n-chains, and the (S, S*) pair below and above (None past an end)."""
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
     w = w or InnerProductWeights.ones()
@@ -168,7 +173,7 @@ def hodge_laplacian(
     if n >= 1:
         d = boundary_matrix(c, n, Field.REAL)
         below = (_adjoint(d, w_n, w.vector(n - 1, c.n_simplices(n - 1))), d)
-    return _assemble(n, w_n, below, above)
+    return w_n, below, above
 
 
 def symmetrized(ops: HodgeOperators) -> SparseMatrix:
@@ -266,23 +271,23 @@ def hodge_decompose(
         )
     if not np.all(np.isfinite(s.values)):
         raise NumericalFailure("signal has a NaN or infinite value")
-    w = w or InnerProductWeights.ones()
-    ops = hodge_laplacian(c, n, w)
+    w_n, below, above = _sides(c, n, w)
     exponent = int(np.frexp(np.max(np.abs(s.values), initial=0.0))[1])
     values = np.ldexp(s.values, -exponent)
 
     irrot, solenoid = (
-        np.zeros_like(values) if b is None else _weighted_projection(b, values, ops.weight_vector)
-        for b in (ops.from_below, ops.from_above)
+        np.zeros_like(values) if side is None else _weighted_projection(side[0], values, w_n)
+        for side in (below, above)
     )
     harmonic = values - irrot - solenoid
 
-    norm_sq = float(np.sum(ops.weight_vector * values * values))
+    norm_sq = float(np.sum(w_n * values * values))
     pair_bound = tol * norm_sq
     for a, b in ((irrot, harmonic), (irrot, solenoid), (harmonic, solenoid)):
-        if not abs(float(np.sum(ops.weight_vector * a * b))) <= pair_bound + 1e-300:
+        if not abs(float(np.sum(w_n * a * b))) <= pair_bound + 1e-300:
             raise NumericalFailure("decomposition parts are not orthogonal")
-    residual = apply(ops.full, Cochain(n, harmonic)).values
+    h = Cochain(n, harmonic)  # L h is the sum of S (S* h) over the sides; L is not assembled
+    residual = sum(apply(m, apply(m_adj, h)).values for m, m_adj in filter(None, (below, above)))
     if not np.linalg.norm(residual) <= tol * np.linalg.norm(values) + 1e-300:
         raise NumericalFailure("harmonic part is not in the Laplacian kernel")
 

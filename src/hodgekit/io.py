@@ -21,13 +21,14 @@ import io as _io
 import json
 import csv
 import sys
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from .chains import Cochain, SparseMatrix
 from .complex import Simplex, SimplicialComplex, build_complex
-from .errors import FormatError, HodgekitError
+from .errors import DuplicateVertex, EmptySimplex, FormatError, HodgekitError, InvalidVertex
 from .filters import FilterSpec
 from .hodge import InnerProductWeights
 from .sheaf import Assignment, Sheaf
@@ -47,22 +48,21 @@ def _require_keys(obj: dict, required: set[str], what: str, optional: set[str] =
 
 
 def _int_list(value: Any, what: str) -> list[int]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise FormatError(f"{what} must be a list of integers")
     return value
 
 
+def _finite(value: Any) -> bool:
+    # abs(v) <= FLOAT_MAX is False for NaN and Infinity, and exact for integers past float range.
+    numbers = isinstance(value, list) and set(map(type, value)) <= {int, float}
+    return numbers and all(map(FLOAT_MAX.__ge__, map(abs, value)))
+
+
 def _float_list(value: Any, what: str) -> list[float]:
-    # The range test rejects NaN and Infinity, and compares integers exactly,
-    # so one beyond float range is rejected instead of overflowing float().
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and -FLOAT_MAX <= v <= FLOAT_MAX
-        for v in value
-    ):
+    if not _finite(value):
         raise FormatError(f"{what} must be a list of finite numbers")
-    return [float(v) for v in value]
+    return list(map(float, value))
 
 
 def parse_complex(obj: Any) -> SimplicialComplex:
@@ -125,16 +125,25 @@ def parse_weights(obj: Any) -> InnerProductWeights:
     return InnerProductWeights(table)
 
 
-def _parse_simplex_key(key: str) -> Simplex:
+def _matrix(value: Any, what: str) -> np.ndarray:
+    """A restriction matrix: a list of equally long rows of finite numbers."""
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a list of rows")
+    if not set(map(type, value)) <= {list} or not _finite(list(chain.from_iterable(value))):
+        raise FormatError(f"{what} row must be a list of finite numbers")
+    return np.array(value, dtype=np.float64)  # rows of different lengths raise ValueError
+
+
+def _stalk_key(key: str) -> tuple[int, ...]:
     try:
-        vertices = json.loads(key)
+        vertices = _int_list(json.loads(key), f"stalk key {key!r}")
+        if not vertices or min(vertices) < 0 or len(set(vertices)) < len(vertices):
+            Simplex(tuple(vertices))  # raises, naming what is wrong with them
     except json.JSONDecodeError:
         raise FormatError(f"stalk key {key!r} is not a JSON vertex list") from None
-    _int_list(vertices, f"stalk key {key!r}")
-    try:
-        return Simplex(tuple(vertices))
-    except HodgekitError as exc:
+    except (EmptySimplex, InvalidVertex, DuplicateVertex) as exc:
         raise FormatError(f"stalk key {key!r}: {exc}") from exc
+    return tuple(vertices)
 
 
 def parse_sheaf(obj: Any, c: SimplicialComplex) -> Sheaf:
@@ -143,21 +152,17 @@ def parse_sheaf(obj: Any, c: SimplicialComplex) -> Sheaf:
         raise FormatError('"stalks" must be an object')
     stalks = {}
     for key, dim in obj["stalks"].items():
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise FormatError(f"stalk dimension for {key!r} must be a non-negative integer")
-        stalks[_parse_simplex_key(key)] = dim
+        stalks[_stalk_key(key)] = dim
     if not isinstance(obj["restrictions"], list):
         raise FormatError('"restrictions" must be a list')
     maps = {}
     for i, entry in enumerate(obj["restrictions"]):
         _require_keys(entry, {"face", "coface", "matrix"}, f"restrictions[{i}]")
-        face = Simplex(tuple(_int_list(entry["face"], f"restrictions[{i}].face")))
-        coface = Simplex(tuple(_int_list(entry["coface"], f"restrictions[{i}].coface")))
-        matrix = entry["matrix"]
-        if not isinstance(matrix, list):
-            raise FormatError(f"restrictions[{i}].matrix must be a list of rows")
-        rows = [_float_list(row, f"restrictions[{i}].matrix row") for row in matrix]
-        maps[(face, coface)] = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
+        face = _int_list(entry["face"], f"restrictions[{i}].face")
+        coface = _int_list(entry["coface"], f"restrictions[{i}].coface")
+        maps[tuple(face), tuple(coface)] = _matrix(entry["matrix"], f"restrictions[{i}].matrix")
     try:
         return Sheaf(c, stalks, maps)
     except HodgekitError:
@@ -171,23 +176,18 @@ def parse_assignment(obj: Any, sh: Sheaf) -> Assignment:
     n = obj["dim"]
     if not isinstance(n, int) or n < 0:
         raise FormatError('"dim" must be a non-negative integer')
-    if not isinstance(obj["blocks"], list):
+    blocks = obj["blocks"]
+    if not isinstance(blocks, list):
         raise FormatError('"blocks" must be a list')
-    simplices = sh.complex.simplices(n)
-    if len(obj["blocks"]) != len(simplices):
-        raise FormatError(
-            f"expected {len(simplices)} blocks for dimension {n}, "
-            f"got {len(obj['blocks'])}"
-        )
-    stacked: list[float] = []
-    for s, block in zip(simplices, obj["blocks"]):
-        vec = _float_list(block, f"block for {s}")
-        if len(vec) != sh.stalk_dim(s):
-            raise FormatError(
-                f"block for {s} has length {len(vec)}, stalk is {sh.stalk_dim(s)}"
-            )
-        stacked.extend(vec)
-    return Assignment(n, np.array(stacked))
+    stalk = np.diff(sh.offsets(n)).tolist()
+    if len(blocks) != len(stalk):
+        raise FormatError(f"expected {len(stalk)} blocks for dimension {n}, got {len(blocks)}")
+    for j, block in enumerate(blocks):
+        if not _finite(block) or len(block) != stalk[j]:
+            s = sh.complex.simplices(n)[j]
+            _float_list(block, f"block for {s}")
+            raise FormatError(f"block for {s} has length {len(block)}, stalk is {stalk[j]}")
+    return Assignment(n, np.array(list(chain.from_iterable(blocks)), dtype=np.float64))
 
 
 def assignment_to_obj(x: Assignment, sh: Sheaf) -> dict:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .chains import Cochain, Field, SparseMatrix, _runs, apply, boundary_matrix
+from .chains import Cochain, Field, SparseMatrix, _runs, apply, compose
 from .complex import Simplex
 from .errors import (
     DimensionOutOfRange,
@@ -55,8 +55,12 @@ class Sheaf:
     """Validated sheaf over a simplicial complex.
 
     stalk_dims must cover every simplex of the complex.  restrictions maps
-    (face, coface) pairs to arrays of shape (stalk(coface), stalk(face));
-    pairs where either stalk is zero-dimensional may be omitted.
+    (face, coface) pairs, as Simplex objects or vertex labels, to arrays of
+    shape (stalk(coface), stalk(face)) or that many entries; empty blocks
+    may be omitted.  Held as arrays aligned with the face tables: stalk
+    dimensions _stalks[n] in canonical order, and for n >= 1 one row-major
+    block per cell (j, i) of face_table(n), in row-major order, in
+    _blocks[n] from _starts[n][j * (n + 1) + i] on.
     """
 
     def __init__(
@@ -66,85 +70,89 @@ class Sheaf:
         restrictions: Mapping[tuple, "np.ndarray | list"],
     ):
         self.complex = c
-        # Held by position: _stalks[n][j], and _maps[n][(face, coface)] for coface dimension n.
-        self._stalks: list[list[int]] = [[-1] * c.n_simplices(n) for n in range(c.max_dim + 1)]
-        for key, dim in stalk_dims.items():
-            s = _simplex(key)
-            j = c.index(s)
-            if not isinstance(dim, (int, np.integer)) or dim < 0:
-                raise ValueError(f"stalk dimension for {s} must be a non-negative integer")
-            self._stalks[s.dimension][j] = int(dim)
+        dim, pos = c._find(list(stalk_dims))
+        given = list(stalk_dims.values())
+        bad = [k for k, d in enumerate(given) if not isinstance(d, (int, np.integer)) or d < 0]
+        if bad:
+            s = c.simplices(dim[bad[0]])[pos[bad[0]]]
+            raise ValueError(f"stalk dimension for {s} must be a non-negative integer")
+        self._stalks = [np.full(c.n_simplices(n), -1) for n in range(c.max_dim + 1)]
         for n, dims in enumerate(self._stalks):
-            if -1 in dims:
-                raise MissingStalk(f"no stalk dimension for {c.simplices(n)[dims.index(-1)]}")
-
-        self._maps: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in self._stalks]
-        for (face_key, coface_key), matrix in restrictions.items():
-            face, coface = _simplex(face_key), _simplex(coface_key)
-            n, (f, j) = self._pair(face, coface)
-            arr = np.asarray(matrix, dtype=np.float64)
-            expected = (self._stalks[n][j], self._stalks[n - 1][f])
-            if arr.size == expected[0] * expected[1]:
-                arr = arr.reshape(expected)
-            if arr.shape != expected:
-                raise ShapeMismatch(
-                    f"restriction ({face}, {coface}) has shape {arr.shape}, "
-                    f"expected {expected}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"restriction ({face}, {coface}) has a non-finite entry")
-            self._maps[n][(f, j)] = arr
-
-        for n in range(1, c.max_dim + 1):
-            for j, faces in enumerate(c.face_table(n).tolist()):
-                for f in faces:
-                    if (f, j) in self._maps[n]:
-                        continue
-                    shape = (self._stalks[n][j], self._stalks[n - 1][f])
-                    if 0 not in shape:
-                        pair = (c.simplices(n - 1)[f], c.simplices(n)[j])
-                        raise MissingRestriction(f"no restriction map for {pair}")
-                    self._maps[n][(f, j)] = np.zeros(shape)
-
+            dims[pos[dim == n]] = np.array(given, dtype=np.int64)[dim == n]
+            if (dims < 0).any():
+                raise MissingStalk(f"no stalk dimension for {c.simplices(n)[np.argmax(dims < 0)]}")
+        self._set_blocks(restrictions)
         self._check_commutativity()
 
-    def _pair(self, face: Simplex, coface: Simplex) -> tuple[int, tuple[int, int]]:
-        """Coface dimension and (face, coface) positions of an incident pair."""
-        n, f, j = coface.dimension, self.complex.index(face), self.complex.index(coface)
-        if face.dimension != n - 1 or f not in self.complex.face_table(n)[j]:
-            raise ValueError(f"({face}, {coface}) is not an incident pair")
-        return n, (f, j)
+    def _set_blocks(self, restrictions: Mapping) -> None:
+        c, matrices = self.complex, list(restrictions.values())
+        faces, cofaces = zip(*restrictions) if restrictions else ((), ())
+        (face_dim, f), (dim, j) = c._find(faces), c._find(cofaces)
+        given = [np.asarray(m, dtype=np.float64).ravel() for m in matrices]
+        size = np.fromiter(map(len, given), np.int64, len(given))
+        data, source = np.concatenate([np.zeros(0), *given]), np.cumsum(size) - size
+
+        def pair(k: int) -> str:
+            return f"({c.simplices(face_dim[k])[f[k]]}, {c.simplices(dim[k])[j[k]]})"
+
+        if (face_dim != dim - 1).any():
+            raise ValueError(f"{pair(np.argmax(face_dim != dim - 1))} is not an incident pair")
+        if not np.isfinite(data).all():
+            k = np.searchsorted(source + size, np.argmin(np.isfinite(data)), side="right")
+            raise ValueError(f"restriction {pair(k)} has a non-finite entry")
+        self._starts, self._blocks = [np.zeros(1, np.int64)], [np.zeros(0)]
+        for n in range(1, c.max_dim + 1):
+            table, at = c.face_table(n), np.flatnonzero(dim == n)
+            hit = table[j[at]] == f[at, None]
+            if not hit.any(axis=1).all():
+                raise ValueError(f"{pair(at[np.argmin(hit.any(axis=1))])} is not an incident pair")
+            cell = j[at] * (n + 1) + hit.argmax(axis=1)
+            sizes = (self._stalks[n][:, None] * self._stalks[n - 1][table]).ravel()
+            if (size[at] != sizes[cell]).any():
+                k = at[np.argmax(size[at] != sizes[cell])]
+                expected = (int(self._stalks[n][j[k]]), int(self._stalks[n - 1][f[k]]))
+                shape = np.shape(matrices[k])
+                raise ShapeMismatch(f"restriction {pair(k)} has shape {shape}, expected {expected}")
+            missing = (sizes > 0) & ~np.isin(np.arange(len(sizes)), cell)
+            if missing.any():
+                row, i = divmod(int(np.argmax(missing)), n + 1)
+                omitted = (c.simplices(n - 1)[table[row, i]], c.simplices(n)[row])
+                raise MissingRestriction(f"no restriction map for {omitted}")
+            self._starts.append(np.concatenate([[0], np.cumsum(sizes)]))
+            run, offset = _runs(size[at])
+            self._blocks.append(np.zeros(self._starts[n][-1]))
+            self._blocks[n][self._starts[n][cell][run] + offset] = data[source[at][run] + offset]
 
     def _check_commutativity(self) -> None:
-        """Both paths rho > tau > sigma to each codimension-2 face must agree."""
+        """Both paths rho > tau > sigma to each codimension-2 face must agree.
+        Their incidence signs are opposite, so the (rho, sigma) block of
+        delta_(k-1) delta_(k-2) is their difference: check delta delta = 0."""
         c = self.complex
         for k in range(2, c.max_dim + 1):
-            below = c.face_table(k - 1).tolist()
-            for rho, taus in enumerate(c.face_table(k).tolist()):
-                paths: dict[int, list[np.ndarray]] = {}
-                for tau in taus:
-                    for sigma in below[tau]:
-                        paths.setdefault(sigma, []).append(
-                            self._maps[k][(tau, rho)] @ self._maps[k - 1][(sigma, tau)]
-                        )
-                for sigma, (first, second) in paths.items():
-                    defect = np.max(np.abs(first - second), initial=0.0)
-                    if not defect <= COMMUTE_TOL:
-                        raise InconsistentSheaf(
-                            "restriction maps do not commute between "
-                            f"{c.simplices(k - 2)[sigma]} and {c.simplices(k)[rho]}"
-                        )
+            try:
+                dd = compose(sheaf_coboundary(c, self, k - 1), sheaf_coboundary(c, self, k - 2))
+            except ValueError:  # a path's product is not finite
+                raise InconsistentSheaf("restriction maps overflow on a path") from None
+            bad = np.flatnonzero(np.abs(dd.data) > COMMUTE_TOL)
+            if len(bad):
+                rho = np.searchsorted(self.offsets(k), dd.row[bad[0]], side="right") - 1
+                sigma = np.searchsorted(self.offsets(k - 2), dd.col[bad[0]], side="right") - 1
+                pair = f"{c.simplices(k - 2)[sigma]} and {c.simplices(k)[rho]}"
+                raise InconsistentSheaf(f"restriction maps do not commute between {pair}")
 
     def stalk_dim(self, s: Simplex) -> int:
         j = self.complex.index(s)
-        return self._stalks[s.dimension][j]
+        return int(self._stalks[s.dimension][j])
 
     def restriction(self, face: Simplex, coface: Simplex) -> np.ndarray:
+        c, n = self.complex, coface.dimension
         try:
-            n, pair = self._pair(face, coface)
-        except (UnknownSimplex, ValueError):
+            j, f = c.index(coface), c.index(face)
+            (i,) = np.flatnonzero(c.face_table(n)[j] == f) if face.dimension == n - 1 else ()
+        except (UnknownSimplex, ValueError):  # ValueError: face fills no slot of coface
             raise MissingRestriction(f"no restriction map for ({face}, {coface})") from None
-        return self._maps[n][pair]
+        start, stop = self._starts[n][j * (n + 1) + i : j * (n + 1) + i + 2]
+        return self._blocks[n][start:stop].reshape(self._stalks[n][j], self._stalks[n - 1][f])
 
     def offsets(self, n: int) -> np.ndarray:
         """Start offset of each n-simplex's block in the stacked vector."""
@@ -155,20 +163,13 @@ class Sheaf:
         return int(self.offsets(n)[-1])
 
 
-def _simplex(key: Simplex | Iterable[int]) -> Simplex:
-    return key if isinstance(key, Simplex) else Simplex(tuple(key))
-
-
 def constant_sheaf(c: SimplicialComplex) -> Sheaf:
-    """Rank-1 stalks with identity restrictions everywhere."""
-    stalks = {s: 1 for n in range(c.max_dim + 1) for s in c.simplices(n)}
-    maps = {
-        (c.simplices(n - 1)[f], coface): np.eye(1)
-        for n in range(1, c.max_dim + 1)
-        for coface, faces in zip(c.simplices(n), c.face_table(n).tolist())
-        for f in faces
-    }
-    return Sheaf(c, stalks, maps)
+    """Rank-1 stalks with identity restrictions, built as arrays: identity maps commute."""
+    sh = Sheaf.__new__(Sheaf)
+    sh.complex, sh._stalks = c, [np.ones(c.n_simplices(n), np.int64) for n in range(c.max_dim + 1)]
+    sh._starts = [np.arange(c.face_table(n).size + 1 if n else 1) for n in range(c.max_dim + 1)]
+    sh._blocks = [np.ones(len(starts) - 1) for starts in sh._starts]
+    return sh
 
 
 def sheaf_coboundary(c: SimplicialComplex, sh: Sheaf, n: int) -> SparseMatrix:
@@ -176,8 +177,8 @@ def sheaf_coboundary(c: SimplicialComplex, sh: Sheaf, n: int) -> SparseMatrix:
 
     The block for an incident pair is the restriction map times that
     pair's entry of the real boundary map d_(n+1), the signed incidence
-    number; this is the unique sign choice consistent with the two-step
-    coboundary vanishing in every dimension.
+    number (-1)**i of the face's slot i; this is the unique sign choice
+    consistent with the two-step coboundary vanishing in every dimension.
     """
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
@@ -185,17 +186,15 @@ def sheaf_coboundary(c: SimplicialComplex, sh: Sheaf, n: int) -> SparseMatrix:
     if n == c.max_dim:
         return SparseMatrix.zeros(0, cols, Field.REAL)
     row_off, col_off = sh.offsets(n + 1), sh.offsets(n)
-    d, maps = boundary_matrix(c, n + 1, Field.REAL), sh._maps[n + 1]
-    values = [
-        sign * maps[(face, coface)].ravel()
-        for face, coface, sign in zip(d.row.tolist(), d.col.tolist(), d.data.tolist())
-    ]
-    # One block per nonzero of d, placed at its coface's rows and its face's columns.
-    p, q = np.diff(row_off)[d.col], np.diff(col_off)[d.row]
+    faces = c.face_table(n + 1).ravel()
+    cofaces = np.arange(len(faces)) // (n + 2)
+    # The blocks of sh._blocks[n + 1] end to end, each at its coface's rows and its face's columns.
+    p, q = np.diff(row_off)[cofaces], np.diff(col_off)[faces]
     block_of, slot = _runs(p * q)
     down, across = np.divmod(slot, q[block_of])
-    row, col = row_off[d.col[block_of]] + down, col_off[d.row[block_of]] + across
-    return SparseMatrix.from_coo(row_off[-1], cols, row, col, np.concatenate(values), Field.REAL)
+    row, col = row_off[cofaces[block_of]] + down, col_off[faces[block_of]] + across
+    values = (-1.0) ** (block_of % (n + 2)) * sh._blocks[n + 1]
+    return SparseMatrix.from_coo(row_off[-1], cols, row, col, values, Field.REAL)
 
 
 def check_consistency(

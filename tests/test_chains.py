@@ -266,3 +266,17 @@ def test_operations_match_dense_reference(data, field_tag, rows, inner, cols):
     assert np.array_equal(add(a, a2).toarray(), reduce(da + da2))
     assert np.array_equal(transpose(a).toarray(), da.T)
     assert np.array_equal(apply(a, x).values, reduce(da @ x.values))
+
+
+def test_equality_compares_arrays(monkeypatch):
+    def refuse(self):
+        raise AssertionError("entries was built")
+
+    monkeypatch.setattr(SparseMatrix, "entries", property(refuse))
+    d = boundary_matrix(TRIANGLE, 2, Field.REAL)
+    assert d == SparseMatrix.from_coo(3, 1, [2, 1, 0], [0, 0, 0], [1.0, -1.0, 1.0], Field.REAL)
+    assert d != SparseMatrix.from_coo(3, 1, [0, 1, 2], [0, 0, 0], [1.0, -1.0, 2.0], Field.REAL)
+    assert d != SparseMatrix.from_coo(3, 1, [0, 1], [0, 0], [1.0, -1.0], Field.REAL)
+    assert d != SparseMatrix.from_coo(3, 2, [0, 1, 2], [0, 0, 0], [1.0, -1.0, 1.0], Field.REAL)
+    assert d != boundary_matrix(TRIANGLE, 2, Field.GF2)
+    assert boundary_matrix(TRIANGLE, 2, Field.GF2) == transpose(coboundary_matrix(TRIANGLE, 1, Field.GF2))

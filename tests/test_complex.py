@@ -223,3 +223,57 @@ def test_face_lookups_build_no_simplex(monkeypatch):
         for s in c.simplices(n):
             c.cofaces(s)
     assert built == []
+
+
+def one_at_a_time(c, keys):
+    """What Simplex and a brute-force position dict say, key by key: the
+    positions, or the class and message of the first refusal."""
+    position = {s: j for n in range(c.max_dim + 1) for j, s in enumerate(c.simplices(n))}
+    out = []
+    for key in keys:
+        try:
+            s = key if isinstance(key, Simplex) else Simplex(tuple(key))
+        except (EmptySimplex, InvalidVertex, DuplicateVertex) as exc:
+            return type(exc), str(exc)
+        if s not in position:
+            return UnknownSimplex, f"{s} is not in the complex"
+        out.append(position[s])
+    return out
+
+
+# Labels the complex may lack, and labels Simplex refuses.
+QUERY_LABEL = LABELS | st.sampled_from([2, 2**64 + 4, -1, True, 1.0, "1", None])
+
+
+@given(tops=st.lists(TOP, min_size=1, max_size=8), data=st.data())
+def test_batched_lookup_matches_simplex_and_index(tops, data):
+    c = build_complex(tops)
+    stored = [s for n in range(c.max_dim + 1) for s in c.simplices(n)]
+    key = st.one_of(
+        st.sampled_from(stored),
+        st.sampled_from([list(s.vertices) for s in stored]).flatmap(st.permutations),
+        st.lists(QUERY_LABEL, max_size=4),
+    )
+    keys = data.draw(st.lists(key, max_size=8))
+    expected = one_at_a_time(c, keys)
+    if isinstance(expected, list):
+        dim, pos = c._find(keys)
+        assert dim.tolist() == [len(getattr(k, "vertices", k)) - 1 for k in keys]
+        assert pos.tolist() == expected
+    else:
+        with pytest.raises(expected[0]) as info:
+            c._find(keys)
+        assert str(info.value) == expected[1]
+
+
+def test_index_and_contains_past_int64():
+    big = 2**64 + 3
+    c = build_complex([[0, 1, big], [1, 2**63]])
+    assert c.index(Simplex((1, big))) == 3 and c.index(Simplex((2**63,))) == 2
+    assert Simplex((0, 1, big)) in c and Simplex((0, 2**63)) not in c
+    dim, pos = c._find([(np.int64(1), 2**63), [big, 0], [big, 1, 0]])
+    assert dim.tolist() == [1, 1, 2] and pos.tolist() == [2, 1, 0]
+    with pytest.raises(UnknownSimplex):
+        c.index(Simplex((0, 1, 2**63)))
+    with pytest.raises(UnknownSimplex):
+        c.index(Simplex((0, 1, big, 2**63)))

@@ -382,3 +382,24 @@ def test_curl_of_gradient_and_div_of_curl_vanish():
         assert np.allclose(d1 @ (d2 @ s2), 0.0, atol=1e-12)
         s0 = rng.standard_normal(c.n_simplices(0))
         assert np.allclose(d2.T @ (d1.T @ s0), 0.0, atol=1e-12)
+
+
+def test_decompose_checks_the_kernel_without_assembling_the_laplacian(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Laplacian was assembled")
+
+    c = CORPUS["torus7"]
+    rng = np.random.default_rng(8)
+    signals = [rng.standard_normal(c.n_simplices(n)) for n in range(3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(hodge, "compose", refuse)
+        patch.setattr(hodge, "add", refuse)
+        for n, s in enumerate(signals):
+            parts = hodge_decompose(Cochain(n, s), c, n)
+            assert np.allclose(sum(p.values for p in parts), s, atol=1e-12)
+    # With the projections skipped, the whole signal is left as the harmonic
+    # part; the parts are trivially orthogonal, so the kernel check must fire.
+    monkeypatch.setattr(hodge, "_weighted_projection", lambda b, s, w: np.zeros(b.rows))
+    for n, s in enumerate(signals):  # dimension 0 has only the side above, 2 only the one below
+        with pytest.raises(NumericalFailure, match="not in the Laplacian kernel"):
+            hodge_decompose(Cochain(n, s), c, n)

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hodgekit
-from hodgekit import Field, SparseMatrix, betti
+from hodgekit import Field, Simplex, SparseMatrix, betti, check_consistency
 from hodgekit import io
 from hodgekit.cli import main
 from hodgekit.errors import FormatError
 
-from conftest import CORPUS_TOPS, LEFT_SHIFT, DROP_LAST, TORSION
+from conftest import CORPUS_TOPS, LEFT_SHIFT, DROP_LAST, TORSION, random_clique_complex
 
 
 def write_json(path, obj) -> str:
@@ -504,3 +504,109 @@ def test_back_to_back_main_calls_match_fresh_processes(tmp_path, capsys):
     in_process = [run_in_process(argv, capsys) for argv in sequence]
     assert in_process == [run_fresh_process(argv) for argv in sequence]
     assert [code for code, _ in in_process] == [0, 0, 2, 0, 2, 0, 2, 2, 0]
+
+
+def _bad_matrix(value):
+    def edit(sheaf):
+        sheaf["restrictions"][0]["matrix"] = value
+    return edit
+
+
+def _set(path, value):
+    def edit(sheaf):
+        *parents, last = path
+        target = sheaf
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    return edit
+
+
+def _stalk_key(old, new, dim=None):
+    def edit(sheaf):
+        dim_ = sheaf["stalks"].pop(old)
+        sheaf["stalks"][new] = dim_ if dim is None else dim
+    return edit
+
+
+FLOAT_MAX = sys.float_info.max
+
+# Every way a sheaf file fails to parse or validate: each must exit 2.
+SHEAF_FILE_ERRORS = {
+    "bool entry": _bad_matrix([[True, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "string entry": _bad_matrix([["0", 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "null entry": _bad_matrix([[None, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "NaN entry": _bad_matrix([[float("nan"), 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "Infinity entry": _bad_matrix([[float("inf"), 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "integer past float range": _bad_matrix([[10**400, 1, 0], [0, 0, 1]]),
+    "integer just past float range": _bad_matrix([[int(FLOAT_MAX) + 1, 1, 0], [0, 0, 1]]),
+    "ragged rows": _bad_matrix([[0.0, 1.0, 0.0], [0.0, 1.0]]),
+    "row not a list": _bad_matrix([[0.0, 1.0, 0.0], 1.0]),
+    "matrix not a list": _bad_matrix("identity"),
+    "wrong block shape": _bad_matrix([[0.0, 1.0, 0.0]]),
+    "transposed entry count": _bad_matrix([[0.0, 1.0], [0.0, 0.0]]),
+    "stalk key not JSON": _stalk_key("[0]", "[0"),
+    "stalk key not a list": _stalk_key("[0]", "0"),
+    "stalk key with a bool": _stalk_key("[0]", "[true]"),
+    "stalk key empty": _stalk_key("[0]", "[]"),
+    "stalk key negative": _stalk_key("[0]", "[-1]"),
+    "stalk key repeated vertex": _stalk_key("[0,1]", "[1,1]"),
+    "stalk key unknown": _stalk_key("[0]", "[7]"),
+    "stalk key split across keys": _stalk_key("[0]", "[0], [1"),
+    "stalk dimension negative": _set(["stalks", "[0]"], -1),
+    "stalk dimension bool": _set(["stalks", "[0]"], True),
+    "stalk dimension float": _set(["stalks", "[0]"], 3.0),
+    "stalk missing": lambda sheaf: sheaf["stalks"].pop("[2]"),
+    "face unknown": _set(["restrictions", 0, "face"], [7]),
+    "face with a bool": _set(["restrictions", 0, "face"], [False]),
+    "face not a list": _set(["restrictions", 0, "face"], 0),
+    "face repeated vertex": _set(["restrictions", 0, "coface"], [0, 0]),
+    "face empty": _set(["restrictions", 0, "face"], []),
+    "not an incident pair": _set(["restrictions", 0, "face"], [2]),
+    "face one dimension off": _set(["restrictions", 0, "face"], [0, 1]),
+    "restriction missing": lambda sheaf: sheaf["restrictions"].pop(),
+    "restriction missing a field": lambda sheaf: sheaf["restrictions"][0].pop("matrix"),
+    "restriction with an extra field": _set(["restrictions", 0, "weight"], 1.0),
+    "restriction not an object": _set(["restrictions", 0], [[0], [0, 1]]),
+    "restrictions not a list": _set(["restrictions"], {}),
+    "stalks not an object": _set(["stalks"], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHEAF_FILE_ERRORS))
+def test_cli_sheaf_file_errors_exit_2(tmp_path, capsys, case):
+    complex_file, sheaf_file = shift_register_files(tmp_path)
+    sheaf = json.loads((tmp_path / "sheaf.json").read_text(encoding="utf-8"))
+    SHEAF_FILE_ERRORS[case](sheaf)
+    write_json(tmp_path / "sheaf.json", sheaf)
+    assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_sheaf_files_are_read_without_simplex_objects(monkeypatch):
+    """Parsing, assignment and consistency index by position and build no Simplex."""
+    rng = np.random.default_rng(2)
+    c = random_clique_complex(rng, 40, 0.4, max_dim=2)
+    assert 250 <= c.n_simplices(1) <= 350
+    rows = [[list(s.vertices) for s in c.simplices(n)] for n in range(3)]
+    gauge = [[np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in dim] for dim in rows]
+    restrictions = [
+        {"face": rows[n - 1][f], "coface": rows[n][j], "matrix": (gauge[n][j] @ gauge[n - 1][f].T).tolist()}
+        for n in (1, 2)
+        for j, faces in enumerate(c.face_table(n).tolist())
+        for f in faces
+    ]
+    sheaf = {"stalks": {json.dumps(r): 3 for dim in rows for r in dim}, "restrictions": restrictions}
+    section = rng.standard_normal(3)
+    assignment = {"dim": 0, "blocks": [(g @ section).tolist() for g in gauge[0]]}
+    fresh = random_clique_complex(np.random.default_rng(2), 40, 0.4, max_dim=2)
+
+    def refuse(self):
+        raise AssertionError("a Simplex was built")
+
+    monkeypatch.setattr(Simplex, "__post_init__", refuse)
+    sh = io.parse_sheaf(sheaf, fresh)
+    x = io.parse_assignment(assignment, sh)
+    consistent, residual = check_consistency(fresh, sh, x)
+    assert consistent and len(residual) == 3 * fresh.n_simplices(1)

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgekit import (
     Simplex,
+    SparseMatrix,
     betti,
+    boundary_matrix,
     build_complex,
     coboundary_matrix,
     harmonic_basis,
@@ -21,8 +24,10 @@ from hodgekit.errors import (
     ShapeMismatch,
     UnknownSimplex,
 )
+from hodgekit.chains import _runs
 from hodgekit.hodge import InnerProductWeights
 from hodgekit.sheaf import (
+    COMMUTE_TOL,
     Assignment,
     Sheaf,
     check_consistency,
@@ -33,7 +38,13 @@ from hodgekit.sheaf import (
 )
 from hodgekit.spectral import eigendecompose
 
-from conftest import CORPUS, gauge_sheaf, shift_register_sheaf
+from conftest import (
+    CORPUS,
+    CORPUS_TOPS,
+    gauge_sheaf,
+    random_clique_complex,
+    shift_register_sheaf,
+)
 
 # The displayed consistency matrix for the three-window shift register:
 # positive shift blocks from the left vertex, negated overlap blocks from
@@ -296,3 +307,156 @@ def test_weighted_sheaf_laplacian_kernel_dimension():
         lhs = float(np.sum(wv * (a @ x) * y))
         rhs = float(np.sum(wv * x * (a @ y)))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+# References for the block layout: the per-pair dict layout Sheaf had before
+# it held arrays aligned with the face tables, with its commutativity loop and
+# its coboundary, kept verbatim except that the loop collects every failing
+# (sigma, rho) pair instead of raising at the first.
+class ReferenceSheaf:
+    """_stalks[n][j] and _maps[n][(face, coface)] by canonical position."""
+
+    def __init__(self, c, stalk_dims, restrictions):
+        self.complex = c
+        self._stalks = [[-1] * c.n_simplices(n) for n in range(c.max_dim + 1)]
+        for s, dim in stalk_dims.items():
+            self._stalks[s.dimension][c.index(s)] = int(dim)
+        self._maps = [{} for _ in self._stalks]
+        for (face, coface), matrix in restrictions.items():
+            n, f, j = coface.dimension, c.index(face), c.index(coface)
+            expected = (self._stalks[n][j], self._stalks[n - 1][f])
+            self._maps[n][(f, j)] = np.asarray(matrix, dtype=np.float64).reshape(expected)
+        for n in range(1, c.max_dim + 1):
+            for j, faces in enumerate(c.face_table(n).tolist()):
+                for f in faces:
+                    if (f, j) not in self._maps[n]:
+                        self._maps[n][(f, j)] = np.zeros((self._stalks[n][j], self._stalks[n - 1][f]))
+
+    def failing_pairs(self) -> set[tuple[Simplex, Simplex]]:
+        """Both paths rho > tau > sigma to each codimension-2 face must agree."""
+        c, failing = self.complex, set()
+        for k in range(2, c.max_dim + 1):
+            below = c.face_table(k - 1).tolist()
+            for rho, taus in enumerate(c.face_table(k).tolist()):
+                paths: dict[int, list[np.ndarray]] = {}
+                for tau in taus:
+                    for sigma in below[tau]:
+                        paths.setdefault(sigma, []).append(
+                            self._maps[k][(tau, rho)] @ self._maps[k - 1][(sigma, tau)]
+                        )
+                for sigma, (first, second) in paths.items():
+                    defect = np.max(np.abs(first - second), initial=0.0)
+                    if not defect <= COMMUTE_TOL:
+                        failing.add((c.simplices(k - 2)[sigma], c.simplices(k)[rho]))
+        return failing
+
+    def offsets(self, n: int) -> np.ndarray:
+        dims = self._stalks[n] if self.complex.n_simplices(n) else []
+        return np.concatenate([[0], np.cumsum(dims)]).astype(int)
+
+    def total_dim(self, n: int) -> int:
+        return int(self.offsets(n)[-1])
+
+
+def reference_coboundary(c, sh: ReferenceSheaf, n: int) -> SparseMatrix:
+    cols = sh.total_dim(n)
+    if n == c.max_dim:
+        return SparseMatrix.zeros(0, cols, Field.REAL)
+    row_off, col_off = sh.offsets(n + 1), sh.offsets(n)
+    d, maps = boundary_matrix(c, n + 1, Field.REAL), sh._maps[n + 1]
+    values = [
+        sign * maps[(face, coface)].ravel()
+        for face, coface, sign in zip(d.row.tolist(), d.col.tolist(), d.data.tolist())
+    ]
+    # One block per nonzero of d, placed at its coface's rows and its face's columns.
+    p, q = np.diff(row_off)[d.col], np.diff(col_off)[d.row]
+    block_of, slot = _runs(p * q)
+    down, across = np.divmod(slot, q[block_of])
+    row, col = row_off[d.col[block_of]] + down, col_off[d.row[block_of]] + across
+    return SparseMatrix.from_coo(row_off[-1], cols, row, col, np.concatenate(values), Field.REAL)
+
+
+def projection_gauge_sheaf(c, rng, perturb: bool):
+    """Ragged stalks (dimension 0 to 3) whose maps commute, with one block perturbed or not.
+
+    Vertex v keeps a random set A_v of the coordinates of R^3, and a simplex
+    the coordinates all its vertices keep, so a coface keeps a subset of
+    what its faces keep.  The map from sigma to tau is g_tau P g_sigma^T, P
+    the coordinate projection and each g a random orthogonal matrix; every
+    path from sigma to rho composes to g_rho P g_sigma^T.
+    """
+    keep = {v: np.flatnonzero(rng.random(3) < 0.7) for v in c.vertices}
+    coords, gauge, stalks, maps = {}, {}, {}, {}
+    for n in range(c.max_dim + 1):
+        for s in c.simplices(n):
+            coords[s] = np.array(sorted(set.intersection(*(set(keep[v]) for v in s.vertices))), int)
+            k = len(coords[s])
+            gauge[s] = np.linalg.qr(rng.standard_normal((k, k)))[0] if k else np.zeros((0, 0))
+            # Keys are Simplex objects or plain vertex tuples, at random.
+            stalks[s if rng.random() < 0.5 else s.vertices] = k
+    for n in range(1, c.max_dim + 1):
+        for tau in c.simplices(n):
+            for sigma in tau.faces():
+                projection = (coords[tau][:, None] == coords[sigma][None, :]).astype(float)
+                block = gauge[tau] @ projection @ gauge[sigma].T
+                if block.size or rng.random() < 0.5:  # empty blocks may be left out
+                    maps[(sigma, tau)] = block
+    nonempty = [pair for pair, block in maps.items() if block.size]
+    if perturb and nonempty:
+        pair = nonempty[int(rng.integers(len(nonempty)))]
+        maps[pair] = maps[pair] + 0.5 * np.eye(*maps[pair].shape)
+    return stalks, maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["clique", "torus7", "tetra"]),
+    perturb=st.booleans(),
+)
+def test_block_layout_matches_per_pair_reference(seed, source, perturb):
+    rng = np.random.default_rng(seed)
+    c = random_clique_complex(rng, int(rng.integers(4, 9)), 0.7) if source == "clique" else CORPUS[source]
+    stalks, maps = projection_gauge_sheaf(c, rng, perturb)
+    canonical = {s if isinstance(s, Simplex) else Simplex(s): k for s, k in stalks.items()}
+    ref = ReferenceSheaf(c, canonical, maps)
+    failing = ref.failing_pairs()
+    if failing:
+        with pytest.raises(InconsistentSheaf) as info:
+            Sheaf(c, stalks, maps)
+        named = [pair for pair in failing if f"between {pair[0]} and {pair[1]}" in str(info.value)]
+        assert named, (str(info.value), failing)
+        return
+    sh = Sheaf(c, stalks, maps)
+    for n in range(c.max_dim + 1):
+        assert sheaf_coboundary(c, sh, n) == reference_coboundary(c, ref, n)
+        for s in c.simplices(n):
+            assert sh.stalk_dim(s) == canonical[s]
+    for (face, coface), block in maps.items():
+        assert np.array_equal(sh.restriction(face, coface), block)
+
+
+def test_overflowing_paths_are_inconsistent():
+    tri = build_complex([[0, 1, 2]])
+    stalks = {s: 1 for n in range(3) for s in tri.simplices(n)}
+    maps = {
+        (face, coface): np.full((1, 1), 1e200)
+        for n in (1, 2)
+        for coface in tri.simplices(n)
+        for face in coface.faces()
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert ReferenceSheaf(tri, stalks, maps).failing_pairs()
+        with pytest.raises(InconsistentSheaf):
+            Sheaf(tri, stalks, maps)
+
+
+def test_constant_sheaf_builds_no_simplex(monkeypatch):
+    c = build_complex(CORPUS_TOPS["torus7"])
+
+    def refuse(self):
+        raise AssertionError("a Simplex was built")
+
+    monkeypatch.setattr(Simplex, "__post_init__", refuse)
+    sh = constant_sheaf(c)
+    assert sheaf_coboundary(c, sh, 1) == coboundary_matrix(c, 1, Field.REAL)
