@@ -38,6 +38,15 @@ def _check_vertices(vertices: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(int(v) for v in verts))
 
 
+def _vertex_labels(flat: list) -> list:
+    """flat with each value that is not a vertex label (a non-negative integer, numpy
+    integers included, bools not) replaced by None; all-int lists need one type pass."""
+    if set(map(type, flat)) <= {int} and min(flat, default=0) >= 0:
+        return flat
+    label = (int, np.integer)
+    return [int(v) if isinstance(v, label) and type(v) is not bool and v >= 0 else None for v in flat]
+
+
 @dataclass(frozen=True)
 class Simplex:
     """An abstract simplex: a strictly increasing tuple of vertex labels."""
@@ -79,25 +88,41 @@ class SimplicialComplex:
     """
 
     def __init__(self, top_simplices: Iterable[Iterable[int]]):
-        tops = [_check_vertices(raw) for raw in top_simplices]
+        tops: list[tuple] = []
+        try:
+            tops.extend(map(tuple, top_simplices))
+        except TypeError:  # a top is not iterable; a bad top before it raises first
+            SimplicialComplex([*tops, (0,)])
+            raise
         if not tops:
             raise EmptySimplex("a complex needs at least one simplex")
-        self._labels = tuple(sorted({v for top in tops for v in top}))
+        flat = _vertex_labels(list(chain.from_iterable(tops)))
+        self._labels = tuple(sorted(set(flat) - {None}))
         self._position = position = {v: p for p, v in enumerate(self._labels)}
-        longest = max(map(len, tops))
-        self._arrays, self._tables, faces = [], [], np.zeros((0, longest), dtype=np.int64)
-        # Each size's simplices are the faces one size up plus that size's tops; one unique
-        # pass orders them and indexes those faces.  _tables[k] is dimension k + 1's table,
-        # so _tables[max_dim] is the empty table above the top.
-        for size in range(longest, 0, -1):
-            own = [[position[v] for v in top] for top in tops if len(top) == size]
-            rows = np.concatenate([faces, np.array(own, dtype=np.int64).reshape(-1, size)])
-            simplices, inverse = np.unique(rows, axis=0, return_inverse=True)
-            self._tables.insert(0, inverse.ravel()[: len(faces)].reshape(-1, size + 1))
+        ids = np.fromiter(map(position.get, flat, repeat(-1)), np.int64, len(flat))
+        width = np.fromiter(map(len, tops), np.int64, len(tops))
+        first, bad = np.cumsum(width) - width, width == 0
+        self._arrays, self._tables, faces = [], [], np.zeros((0, width.max()), dtype=np.int64)
+        # Each size's simplices are the faces one size up plus that size's tops (sorted rows,
+        # bad if they hold a -1 or a repeat); one lexsort orders them and indexes those faces.
+        # _tables[k] is dimension k + 1's table, so _tables[max_dim] is the empty one on top.
+        for size in range(faces.shape[1], 0, -1):
+            at = np.flatnonzero(width == size)
+            own = np.sort(ids[first[at, None] + np.arange(size)], axis=1, kind="stable")
+            bad[at] = (own[:, 0] < 0) | (own[:, 1:] == own[:, :-1]).any(axis=1)
+            rows = np.concatenate([faces, own])
+            order = np.lexsort(rows.T[::-1])
+            rows, new = rows[order], np.ones(len(rows), dtype=bool)
+            new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            inverse = np.empty_like(order)
+            inverse[order] = np.cumsum(new) - 1
+            self._tables.insert(0, inverse[: len(faces)].reshape(-1, size + 1))
             self._tables[0].flags.writeable = False
-            self._arrays.insert(0, simplices)
+            self._arrays.insert(0, simplices := rows[new])
             keep = np.array([[k for k in range(size) if k != i] for i in range(size)], int)
             faces = simplices[:, keep].reshape(len(simplices) * size, size - 1)
+        if bad.any():  # the first bad top in input order raises what Simplex raises
+            _check_vertices(tops[np.argmax(bad)])
         self._objects: list[tuple | None] = [None] * len(self._arrays)
 
     @property
@@ -133,10 +158,7 @@ class SimplicialComplex:
         found by its key: the position of its first n vertices times the
         vertex count plus its last vertex, increasing in canonical order."""
         rows = [key.vertices if isinstance(key, Simplex) else key for key in keys]
-        flat = list(chain.from_iterable(rows))
-        if not set(map(type, flat)) <= {int}:  # labels other than (numpy) integers are not found
-            label = (int, np.integer)
-            flat = [v if isinstance(v, label) and not isinstance(v, bool) else None for v in flat]
+        flat = _vertex_labels(list(chain.from_iterable(rows)))  # non-labels are not found
         ids = np.fromiter(map(self._position.get, flat, repeat(-1)), np.int64, len(flat))
         width = np.fromiter(map(len, rows), np.int64, len(rows))
         found, first, count = np.full(len(rows), -1), np.cumsum(width) - width, len(self._labels)

@@ -83,7 +83,9 @@ def build_filter(spec: FilterSpec, ops: HodgeOperators) -> SparseMatrix:
     """The filter matrix H, evaluated on the identity with dense products.
 
     Costs n^2 memory and K n^3 time; filter_signal applies the same
-    polynomial to one signal without forming H.
+    polynomial to one signal without forming H.  H drops every entry of magnitude
+    at most REAL_ZERO_TOL (1e-12), as each SparseMatrix does, so a filter whose
+    coefficients are all that small is zero here, where filter_signal is exact.
     """
     h = _evaluate(spec, ops, np.eye(ops.size), lambda m: partial(np.matmul, m.toarray()))
     if h.size and np.max(np.abs(h)) > MAGNITUDE_WARN:

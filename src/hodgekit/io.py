@@ -70,8 +70,9 @@ def parse_complex(obj: Any) -> SimplicialComplex:
     tops = obj["top_simplices"]
     if not isinstance(tops, list) or not tops:
         raise FormatError('"top_simplices" must be a non-empty list')
-    for i, entry in enumerate(tops):
-        _int_list(entry, f"top_simplices[{i}]")
+    if not set(map(type, tops)) <= {list} or not set(map(type, chain.from_iterable(tops))) <= {int}:
+        for i, entry in enumerate(tops):  # name the first entry that is not a list of integers
+            _int_list(entry, f"top_simplices[{i}]")
     try:
         return build_complex(tops)
     except HodgekitError as exc:

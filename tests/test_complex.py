@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgekit import Field, Simplex, boundary_matrix, build_complex
+from hodgekit import complex as complex_module
 from hodgekit import generators as gen
+from hodgekit.io import parse_complex
 from hodgekit.sheaf import sheaf_coboundary
 from hodgekit.errors import (
     DuplicateVertex,
     EmptySimplex,
+    FormatError,
     InvalidVertex,
     UnknownSimplex,
     ZeroDimensional,
@@ -277,3 +280,93 @@ def test_index_and_contains_past_int64():
         c.index(Simplex((0, 1, 2**63)))
     with pytest.raises(UnknownSimplex):
         c.index(Simplex((0, 1, big, 2**63)))
+
+
+def reference_check_vertices(vertices):
+    """Per-top validation as construction once ran it on every top, kept
+    verbatim as the reference for which top raises and what."""
+    verts = tuple(vertices)
+    if len(verts) == 0:
+        raise EmptySimplex("a simplex needs at least one vertex")
+    for v in verts:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
+            raise InvalidVertex(f"vertex labels must be non-negative integers, got {v!r}")
+    if len(set(verts)) != len(verts):
+        raise DuplicateVertex(f"repeated vertex in {list(verts)}")
+    return tuple(sorted(int(v) for v in verts))
+
+
+# Valid tops whose labels mix Python ints, numpy integers and ints past 2**64.
+MIXED_TOP = st.lists(
+    LABELS | st.sampled_from([np.int64(1), np.int64(30), np.uint64(2**63)]),
+    min_size=1, max_size=4, unique_by=int,
+)
+BAD_TOP = st.one_of(
+    st.just([]),
+    st.just(5),  # not iterable
+    st.tuples(MIXED_TOP, st.sampled_from([-1, True, 1.0, "a", None]), st.integers(0, 4)).map(
+        lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2] :]
+    ),
+    st.tuples(MIXED_TOP, st.integers(0, 3)).map(lambda t: t[0] + [t[0][t[1] % len(t[0])]]),
+)
+
+
+@given(
+    tops=st.lists(MIXED_TOP, min_size=1, max_size=8),
+    bad=st.lists(st.tuples(st.integers(0, 8), BAD_TOP), max_size=3),
+)
+def test_first_bad_top_in_input_order_raises_what_simplex_raises(tops, bad):
+    for at, top in bad:
+        tops.insert(at, top)
+    try:
+        [reference_check_vertices(t) for t in tops]
+        expected = None
+    except (EmptySimplex, InvalidVertex, DuplicateVertex, TypeError) as exc:
+        expected = exc
+    if expected is None:
+        assert build_complex(tops).vertices == tuple(sorted({int(v) for t in tops for v in t}))
+    else:
+        with pytest.raises(type(expected)) as info:
+            build_complex(tops)
+        assert str(info.value) == str(expected)
+    not_int_list = [type(t) is not list or not set(map(type, t)) <= {int} for t in tops]
+    if any(not_int_list):
+        message = f"top_simplices[{not_int_list.index(True)}] must be a list of integers"
+    elif expected is not None:
+        message = f"invalid complex: {expected}"
+    else:
+        assert parse_complex({"top_simplices": tops}).vertices == build_complex(tops).vertices
+        return
+    with pytest.raises(FormatError) as info:
+        parse_complex({"top_simplices": tops})
+    assert str(info.value) == message
+
+
+def test_construction_runs_no_per_top_python(monkeypatch):
+    side = 21  # a triangulated 21 x 21 grid: 800 triangles
+    tops = [
+        tri
+        for j in range(side - 1)
+        for i in range(side - 1)
+        for a in [i + side * j]
+        for tri in ([a, a + 1, a + side + 1], [a, a + side, a + side + 1])
+    ]
+    calls = {"check": 0, "unique_axis": 0}
+    check, unique = complex_module._check_vertices, np.unique
+
+    def counted_check(vertices):
+        calls["check"] += 1
+        return check(vertices)
+
+    def counted_unique(*args, **kwargs):
+        calls["unique_axis"] += "axis" in kwargs
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(complex_module, "_check_vertices", counted_check)
+    monkeypatch.setattr(np, "unique", counted_unique)
+    assert len(tops) == 800
+    assert build_complex(tops).n_simplices(2) == parse_complex({"top_simplices": tops}).n_simplices(2)
+    assert calls == {"check": 0, "unique_axis": 0}
+    with pytest.raises(DuplicateVertex):
+        build_complex(tops[:5] + [[0, 1, 0]] + tops[5:] + [[-1, 3]])
+    assert calls == {"check": 1, "unique_axis": 0}

@@ -138,6 +138,13 @@ def test_filter_signal_matches_built_matrix(case, alpha0, down, up, seed):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want) + dropped
 
 
+def test_tiny_filter_is_zero_as_a_matrix_but_exact_on_a_signal():
+    spec = FilterSpec(1, alpha0=1e-13)
+    s = Cochain(1, np.random.default_rng(10).standard_normal(TORUS_OPS.size))
+    assert build_filter(spec, TORUS_OPS).nnz == 0
+    assert np.array_equal(filter_signal(spec, TORUS_OPS, s).values, 1e-13 * s.values)
+
+
 def test_apply_filter_identity_and_errors():
     h = build_filter(FilterSpec(1, alpha0=1.0), TORUS_OPS)
     s = Cochain(1, np.arange(TORUS_OPS.size, dtype=float))
