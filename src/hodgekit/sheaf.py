@@ -3,20 +3,20 @@
 A sheaf attaches a real vector space (stalk) to every simplex and a linear
 restriction map to every face-to-coface incidence.  Validation rejects
 sheaves whose restriction maps fail to commute around codimension-2
-incidences, since those would not produce a cochain complex.  The sheaf
-coboundary generalizes the signed simplicial coboundary: the block for an
-incident pair carries that pair's boundary-matrix sign, so the constant
-sheaf with identity maps reproduces the simplicial operators exactly.
+incidences, since those would not produce a cochain complex; a Sheaf is
+held as that complex.  The sheaf coboundary generalizes the signed
+simplicial coboundary: the block for an incident pair carries that pair's
+boundary-matrix sign, so the constant sheaf with identity maps reproduces
+the simplicial operators exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .chains import Cochain, Field, SparseMatrix, _runs, apply, compose
+from .chains import Cochain, Field, SparseMatrix, _runs, apply, coboundary_matrix, compose
 from .complex import Simplex
 from .errors import (
     DimensionOutOfRange,
@@ -35,20 +35,8 @@ if TYPE_CHECKING:
 COMMUTE_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class Assignment:
-    """Per-simplex stalk vectors stacked in canonical simplex order."""
-
-    dimension: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.float64)
-        )
-
-    def __len__(self) -> int:
-        return len(self.values)
+# Per-simplex stalk vectors stacked in canonical simplex order: a real cochain.
+Assignment = Cochain
 
 
 class Sheaf:
@@ -57,10 +45,10 @@ class Sheaf:
     stalk_dims must cover every simplex of the complex.  restrictions maps
     (face, coface) pairs, as Simplex objects or vertex labels, to arrays of
     shape (stalk(coface), stalk(face)) or that many entries; empty blocks
-    may be omitted.  Held as arrays aligned with the face tables: stalk
-    dimensions _stalks[n] in canonical order, and for n >= 1 one row-major
-    block per cell (j, i) of face_table(n), in row-major order, in
-    _blocks[n] from _starts[n][j * (n + 1) + i] on.
+    may be omitted, and a pair given twice keeps its last map.  Held as its
+    cochain complex: per dimension n, the start offsets _offsets[n] of the
+    n-simplices' stalks in canonical order, and the coboundary _delta[n],
+    each built once here.
     """
 
     def __init__(
@@ -76,15 +64,21 @@ class Sheaf:
         if bad:
             s = c.simplices(dim[bad[0]])[pos[bad[0]]]
             raise ValueError(f"stalk dimension for {s} must be a non-negative integer")
-        self._stalks = [np.full(c.n_simplices(n), -1) for n in range(c.max_dim + 1)]
-        for n, dims in enumerate(self._stalks):
+        stalks = [np.full(c.n_simplices(n), -1) for n in range(c.max_dim + 1)]
+        for n, dims in enumerate(stalks):
             dims[pos[dim == n]] = np.array(given, dtype=np.int64)[dim == n]
             if (dims < 0).any():
                 raise MissingStalk(f"no stalk dimension for {c.simplices(n)[np.argmax(dims < 0)]}")
-        self._set_blocks(restrictions)
+        self._set_offsets(stalks)
+        self._set_coboundaries(stalks, restrictions)
         self._check_commutativity()
 
-    def _set_blocks(self, restrictions: Mapping) -> None:
+    def _set_offsets(self, stalks: list[np.ndarray]) -> None:
+        self._offsets = [np.concatenate([[0], np.cumsum(dims)]) for dims in stalks]
+        for offsets in self._offsets:
+            offsets.flags.writeable = False
+
+    def _set_coboundaries(self, stalks: list[np.ndarray], restrictions: Mapping) -> None:
         c, matrices = self.complex, list(restrictions.values())
         faces, cofaces = zip(*restrictions) if restrictions else ((), ())
         (face_dim, f), (dim, j) = c._find(faces), c._find(cofaces)
@@ -100,17 +94,17 @@ class Sheaf:
         if not np.isfinite(data).all():
             k = np.searchsorted(source + size, np.argmin(np.isfinite(data)), side="right")
             raise ValueError(f"restriction {pair(k)} has a non-finite entry")
-        self._starts, self._blocks = [np.zeros(1, np.int64)], [np.zeros(0)]
+        self._delta = []
         for n in range(1, c.max_dim + 1):
             table, at = c.face_table(n), np.flatnonzero(dim == n)
             hit = table[j[at]] == f[at, None]
             if not hit.any(axis=1).all():
                 raise ValueError(f"{pair(at[np.argmin(hit.any(axis=1))])} is not an incident pair")
             cell = j[at] * (n + 1) + hit.argmax(axis=1)
-            sizes = (self._stalks[n][:, None] * self._stalks[n - 1][table]).ravel()
+            sizes = (stalks[n][:, None] * stalks[n - 1][table]).ravel()
             if (size[at] != sizes[cell]).any():
                 k = at[np.argmax(size[at] != sizes[cell])]
-                expected = (int(self._stalks[n][j[k]]), int(self._stalks[n - 1][f[k]]))
+                expected = (int(stalks[n][j[k]]), int(stalks[n - 1][f[k]]))
                 shape = np.shape(matrices[k])
                 raise ShapeMismatch(f"restriction {pair(k)} has shape {shape}, expected {expected}")
             missing = (sizes > 0) & ~np.isin(np.arange(len(sizes)), cell)
@@ -118,10 +112,18 @@ class Sheaf:
                 row, i = divmod(int(np.argmax(missing)), n + 1)
                 omitted = (c.simplices(n - 1)[table[row, i]], c.simplices(n)[row])
                 raise MissingRestriction(f"no restriction map for {omitted}")
-            self._starts.append(np.concatenate([[0], np.cumsum(sizes)]))
-            run, offset = _runs(size[at])
-            self._blocks.append(np.zeros(self._starts[n][-1]))
-            self._blocks[n][self._starts[n][cell][run] + offset] = data[source[at][run] + offset]
+            # A cell given twice keeps its last map; from_coo would sum the two.
+            last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]
+            at, (coface, i) = at[last], np.divmod(cell[last], n + 1)
+            # Each map, row-major, at its coface's rows and its face's columns, times (-1)**i.
+            row_off, col_off, face = self._offsets[n], self._offsets[n - 1], f[at]
+            block_of, slot = _runs(size[at])
+            down, across = np.divmod(slot, stalks[n - 1][face][block_of])
+            row, col = row_off[coface[block_of]] + down, col_off[face[block_of]] + across
+            values = (-1.0) ** i[block_of] * data[source[at][block_of] + slot]
+            delta = SparseMatrix.from_coo(row_off[-1], col_off[-1], row, col, values, Field.REAL)
+            self._delta.append(delta)
+        self._delta.append(SparseMatrix.zeros(0, self.total_dim(c.max_dim), Field.REAL))
 
     def _check_commutativity(self) -> None:
         """Both paths rho > tau > sigma to each codimension-2 face must agree.
@@ -130,7 +132,7 @@ class Sheaf:
         c = self.complex
         for k in range(2, c.max_dim + 1):
             try:
-                dd = compose(sheaf_coboundary(c, self, k - 1), sheaf_coboundary(c, self, k - 2))
+                dd = compose(self._delta[k - 1], self._delta[k - 2])
             except ValueError:  # a path's product is not finite
                 raise InconsistentSheaf("restriction maps overflow on a path") from None
             bad = np.flatnonzero(np.abs(dd.data) > COMMUTE_TOL)
@@ -141,34 +143,43 @@ class Sheaf:
                 raise InconsistentSheaf(f"restriction maps do not commute between {pair}")
 
     def stalk_dim(self, s: Simplex) -> int:
-        j = self.complex.index(s)
-        return int(self._stalks[s.dimension][j])
+        j, offsets = self.complex.index(s), self._offsets[s.dimension]
+        return int(offsets[j + 1] - offsets[j])
 
     def restriction(self, face: Simplex, coface: Simplex) -> np.ndarray:
+        """The map from face's stalk to coface's, read out of the coboundary:
+        its block at the coface's rows and the face's columns, times (-1)**i
+        for the face's slot i.  As in every SparseMatrix, an entry with
+        |v| <= REAL_ZERO_TOL (1e-12) was dropped and reads back as 0.0."""
         c, n = self.complex, coface.dimension
         try:
             j, f = c.index(coface), c.index(face)
             (i,) = np.flatnonzero(c.face_table(n)[j] == f) if face.dimension == n - 1 else ()
         except (UnknownSimplex, ValueError):  # ValueError: face fills no slot of coface
             raise MissingRestriction(f"no restriction map for ({face}, {coface})") from None
-        start, stop = self._starts[n][j * (n + 1) + i : j * (n + 1) + i + 2]
-        return self._blocks[n][start:stop].reshape(self._stalks[n][j], self._stalks[n - 1][f])
+        (r0, r1), (c0, c1) = self._offsets[n][j : j + 2], self._offsets[n - 1][f : f + 2]
+        d = self._delta[n - 1]
+        lo, hi = np.searchsorted(d.row, [r0, r1])
+        inside = lo + np.flatnonzero((c0 <= d.col[lo:hi]) & (d.col[lo:hi] < c1))
+        block = np.zeros((r1 - r0, c1 - c0))
+        block[d.row[inside] - r0, d.col[inside] - c0] = (-1.0) ** i * d.data[inside]
+        return block
 
     def offsets(self, n: int) -> np.ndarray:
-        """Start offset of each n-simplex's block in the stacked vector."""
-        dims = self._stalks[n] if self.complex.n_simplices(n) else []
-        return np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        """Start offset of each n-simplex's block in the stacked vector (read-only)."""
+        return self._offsets[n] if self.complex.n_simplices(n) else np.zeros(1, int)
 
     def total_dim(self, n: int) -> int:
         return int(self.offsets(n)[-1])
 
 
 def constant_sheaf(c: SimplicialComplex) -> Sheaf:
-    """Rank-1 stalks with identity restrictions, built as arrays: identity maps commute."""
+    """Rank-1 stalks with identity restrictions: its coboundaries are the
+    simplicial ones, and identity maps commute."""
     sh = Sheaf.__new__(Sheaf)
-    sh.complex, sh._stalks = c, [np.ones(c.n_simplices(n), np.int64) for n in range(c.max_dim + 1)]
-    sh._starts = [np.arange(c.face_table(n).size + 1 if n else 1) for n in range(c.max_dim + 1)]
-    sh._blocks = [np.ones(len(starts) - 1) for starts in sh._starts]
+    sh.complex = c
+    sh._set_offsets([np.ones(c.n_simplices(n), np.int64) for n in range(c.max_dim + 1)])
+    sh._delta = [coboundary_matrix(c, n, Field.REAL) for n in range(c.max_dim + 1)]
     return sh
 
 
@@ -182,19 +193,7 @@ def sheaf_coboundary(c: SimplicialComplex, sh: Sheaf, n: int) -> SparseMatrix:
     """
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
-    cols = sh.total_dim(n)
-    if n == c.max_dim:
-        return SparseMatrix.zeros(0, cols, Field.REAL)
-    row_off, col_off = sh.offsets(n + 1), sh.offsets(n)
-    faces = c.face_table(n + 1).ravel()
-    cofaces = np.arange(len(faces)) // (n + 2)
-    # The blocks of sh._blocks[n + 1] end to end, each at its coface's rows and its face's columns.
-    p, q = np.diff(row_off)[cofaces], np.diff(col_off)[faces]
-    block_of, slot = _runs(p * q)
-    down, across = np.divmod(slot, q[block_of])
-    row, col = row_off[cofaces[block_of]] + down, col_off[faces[block_of]] + across
-    values = (-1.0) ** (block_of % (n + 2)) * sh._blocks[n + 1]
-    return SparseMatrix.from_coo(row_off[-1], cols, row, col, values, Field.REAL)
+    return sh._delta[n]
 
 
 def check_consistency(
@@ -212,9 +211,8 @@ def check_consistency(
         raise ShapeMismatch(
             f"assignment length {len(x)} != stalk total {sh.total_dim(n)}"
         )
-    residual = apply(sheaf_coboundary(c, sh, n), Cochain(n, x.values), n + 1).values
-    consistent = bool(np.max(np.abs(residual), initial=0.0) <= tol)
-    return consistent, Assignment(n + 1, residual)
+    residual = apply(sheaf_coboundary(c, sh, n), x, n + 1)
+    return bool(np.max(np.abs(residual.values), initial=0.0) <= tol), residual
 
 
 def sheaf_cohomology_dims(

@@ -134,6 +134,17 @@ def test_constant_sheaf_coboundary_equals_signed_coboundary(corpus_complex):
         dense = sheaf_coboundary(c, sh, n).toarray()
         plain = coboundary_matrix(c, n, Field.REAL).toarray()
         assert np.array_equal(dense, plain)
+    # The general constructor, given the constant sheaf's stalks and maps.
+    stalks = {s: 1 for n in range(c.max_dim + 1) for s in c.simplices(n)}
+    maps = {
+        (face, coface): [[1.0]]
+        for n in range(1, c.max_dim + 1)
+        for coface in c.simplices(n)
+        for face in coface.faces()
+    }
+    general = Sheaf(c, stalks, maps)
+    for n in range(c.max_dim + 1):
+        assert sheaf_coboundary(c, general, n) == coboundary_matrix(c, n, Field.REAL)
 
 
 def test_constant_sheaf_laplacian_equals_simplicial(corpus_complex):
@@ -223,6 +234,45 @@ def test_restriction_needs_an_incident_pair():
     assert sh.restriction(Simplex((1,)), Simplex((0, 1))).shape == (0, 1)
     with pytest.raises(MissingRestriction):
         sh.restriction(Simplex((2,)), Simplex((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [(((0,), (0, 1)), ((0,), (1, 0))), ((Simplex((0,)), Simplex((0, 1))), ((0,), (0, 1)))],
+)
+def test_pair_given_twice_keeps_its_last_map(first, second):
+    edge = build_complex([[0, 1]])
+    stalks = {(0,): 1, (1,): 1, (0, 1): 1}
+    maps = {((1,), (0, 1)): [[1.0]], first: [[2.0]], second: [[5.0]]}
+    sh = Sheaf(edge, stalks, maps)
+    assert np.array_equal(sheaf_coboundary(edge, sh, 0).toarray(), [[-5.0, 1.0]])
+    assert np.array_equal(sh.restriction(Simplex((0,)), Simplex((0, 1))), [[5.0]])
+
+
+def test_restriction_reads_entries_below_zero_tol_as_zero():
+    edge = build_complex([[0, 1]])
+    stalks = {(0,): 1, (1,): 1, (0, 1): 1}
+    tiny = Sheaf(edge, stalks, {((0,), (0, 1)): [[1e-13]], ((1,), (0, 1)): [[1.0]]})
+    zero = Sheaf(edge, stalks, {((0,), (0, 1)): [[0.0]], ((1,), (0, 1)): [[1.0]]})
+    assert np.array_equal(tiny.restriction(Simplex((0,)), Simplex((0, 1))), [[0.0]])
+    assert np.array_equal(tiny.restriction(Simplex((1,)), Simplex((0, 1))), [[1.0]])
+    assert sheaf_cohomology_dims(edge, tiny) == sheaf_cohomology_dims(edge, zero) == [1, 0]
+
+
+def test_coboundaries_are_built_once(monkeypatch):
+    c = CORPUS["torus7"]
+    sh = gauge_sheaf(c, seed=5)
+
+    def refuse(counts):
+        raise AssertionError("a coboundary was assembled again")
+
+    monkeypatch.setattr("hodgekit.sheaf._runs", refuse)
+    assert sheaf_cohomology_dims(c, sh) == betti(c)
+    ok, _ = check_consistency(c, sh, Assignment(0, np.zeros(sh.total_dim(0))))
+    assert ok
+    for n in range(c.max_dim + 1):
+        sheaf_laplacian(c, sh, n)
+        assert sheaf_coboundary(c, sh, n) is sheaf_coboundary(c, sh, n)
 
 
 def test_non_commuting_restrictions_rejected():
