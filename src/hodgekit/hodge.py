@@ -45,7 +45,7 @@ CG_MAX_ITER_PER_UNKNOWN = 10
 
 
 class InnerProductWeights:
-    """Strictly positive diagonal weights per chain dimension.
+    """Finite, strictly positive diagonal weights per chain dimension.
 
     Dimensions without an explicit vector use the standard (all-ones)
     inner product.
@@ -57,8 +57,8 @@ class InnerProductWeights:
             vec = np.asarray(values, dtype=np.float64)
             if vec.ndim != 1:
                 raise ShapeMismatch(f"weights for dimension {dim} must be a vector")
-            if not np.all(vec > 0):
-                raise ValueError(f"weights for dimension {dim} must be positive")
+            if not np.all((vec > 0) & (vec < np.inf)):
+                raise ValueError(f"weights for dimension {dim} must be finite and positive")
             self._weights[int(dim)] = vec
 
     @classmethod

@@ -5,8 +5,9 @@ b_n = (#C_n - rank d_n) - rank d_{n+1}, with d_0 the zero map (every vertex
 is a cycle) and the map above the top dimension empty.  Boundary maps are
 integer matrices, so their ranks are exact in both fields: rank d_1 is
 |V| minus the number of connected components, and d_2..d_max are reduced
-sparsely, column by column and top-down with clearing, over GF(2) on
-bitset columns and over Z/p on {row: value} columns.  A difference between
+sparsely, column by column and top-down with clearing, by one driver over
+a per-field column kernel: bitset columns over GF(2), and {row: value}
+columns mod one prime, 2**61 - 1, over the rationals.  A difference between
 the GF(2) and rational Betti numbers is 2-torsion, not numerical trouble.
 Tolerance-based real elimination remains for real-valued matrices such as
 sheaf coboundaries.
@@ -15,8 +16,7 @@ sheaf coboundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Container
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,7 +47,7 @@ def rank_gf2(m: SparseMatrix) -> RankProfile:
     """Exact GF(2) rank by sparse column reduction on bitset columns."""
     if m.field_tag is not Field.GF2:
         raise FieldMismatch("rank_gf2 needs a GF(2) matrix")
-    rank = len(_reduce_gf2(m))
+    (rank,) = _ranks([m], Field.GF2)
     return RankProfile(rank, m.cols - rank, m.cols)
 
 
@@ -146,78 +146,77 @@ def replay_gf2_ops(
     return a
 
 
-# Two primes below 2**31.  A rank mod p never exceeds the rational rank, and equals
-# it unless p divides one of the matrix's elementary divisors.
-_PRIMES = (2**31 - 1, 2**31 - 19)
+# The Mersenne prime 2**61 - 1.  A rank mod p never exceeds the rational rank, and
+# equals it unless p divides one of the matrix's elementary divisors.
+_P = 2**61 - 1
 
 
-def _reduce_gf2(m: SparseMatrix, skip: Container[int] = ()) -> dict[int, int]:
-    """Column-reduce m over GF(2); the reduced columns keyed by pivot row.
-
-    Each column is a Python int with bit r set for a nonzero in row r, and
-    its pivot is its highest set bit.  Entries are read mod 2 (boundary
-    entries are +-1).  Columns whose index is in skip are left out.
-    """
+def _gf2_columns(m: SparseMatrix) -> list[int]:
+    """Bitset columns: bit r of column j is set for a nonzero in row r."""
     columns = [0] * m.cols
     for r, j in zip(m.row.tolist(), m.col.tolist()):
         columns[j] |= 1 << r
-    reduced: dict[int, int] = {}
-    for j, col in enumerate(columns):
-        if j in skip:
-            continue
-        while col:
-            low = col.bit_length() - 1
-            other = reduced.get(low)
-            if other is None:
-                reduced[low] = col
-                break
-            col ^= other
-    return reduced
+    return columns
 
 
-def _reduce_mod_p(m: SparseMatrix, p: int, skip: Container[int] = ()) -> dict[int, dict]:
-    """Column-reduce an integer matrix over Z/p; reduced columns keyed by pivot row.
+def _gf2_reduce(col: int, reduced: dict[int, int]) -> None:
+    """Reduce col against reduced (keyed by pivot, its highest set bit); store it if nonzero."""
+    while col:
+        low = col.bit_length() - 1
+        other = reduced.get(low)
+        if other is None:
+            reduced[low] = col
+            return
+        col ^= other
 
-    Each column is a {row: value mod p} dict, its pivot is its largest row,
-    and a stored column is scaled so that its pivot entry is 1.  Columns
-    whose index is in skip are left out.
-    """
+
+def _modp_columns(m: SparseMatrix) -> list[dict[int, int]]:
+    """{row: value mod p} columns of an integer matrix."""
     columns: list[dict[int, int]] = [{} for _ in range(m.cols)]
     for r, j, v in zip(m.row.tolist(), m.col.tolist(), m.data.tolist()):
-        columns[j][r] = int(v) % p
-    reduced: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(columns):
-        if j in skip:
-            continue
-        while col:
-            low = max(col)
-            other = reduced.get(low)
-            if other is None:
-                inverse = pow(col[low], -1, p)
-                reduced[low] = {r: v * inverse % p for r, v in col.items()}
-                break
-            factor = col[low]
-            for r, v in other.items():
-                x = (col.get(r, 0) - factor * v) % p
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
-    return reduced
+        columns[j][r] = int(v) % _P
+    return columns
 
 
-def _cleared_ranks(maps: list[SparseMatrix], reduce) -> list[int]:
-    """Ranks of the consecutive boundary maps d_k..d_max, reduced top-down.
+def _modp_reduce(col: dict[int, int], reduced: dict[int, dict[int, int]]) -> None:
+    """Reduce col against reduced (keyed by pivot, its largest row); store it scaled to pivot 1."""
+    while col:
+        low = max(col)
+        other = reduced.get(low)
+        if other is None:
+            inverse = pow(col[low], -1, _P)
+            reduced[low] = {r: v * inverse % _P for r, v in col.items()}
+            return
+        factor = col[low]
+        for r, v in other.items():
+            x = (col.get(r, 0) - factor * v) % _P
+            if x:
+                col[r] = x
+            else:
+                del col[r]
+
+
+_KERNELS = {Field.GF2: (_gf2_columns, _gf2_reduce), Field.REAL: (_modp_columns, _modp_reduce)}
+
+
+def _ranks(maps: list[SparseMatrix], field_tag: Field) -> list[int]:
+    """Exact ranks of consecutive boundary maps d_k..d_max, reduced top-down.
 
     Clearing: a column of d_n whose index is a pivot row of the reduced
     d_{n+1} is skipped.  The reduced columns of d_{n+1} are cycles of d_n
     with distinct pivots, so each skipped column of d_n is a combination of
-    the others and the rank is unchanged.
+    the others and the rank is unchanged.  The field's kernel builds a
+    map's columns and reduces one column into the pivot table.
     """
+    columns, reduce = _KERNELS[field_tag]
     ranks, pivots = [], {}
     for d in reversed(maps):
-        pivots = reduce(d, skip=pivots)
-        ranks.insert(0, len(pivots))
+        reduced: dict = {}
+        for j, col in enumerate(columns(d)):
+            if j not in pivots:
+                reduce(col, reduced)
+        ranks.insert(0, len(reduced))
+        pivots = reduced
     return ranks
 
 
@@ -226,17 +225,13 @@ def betti(c: SimplicialComplex, field_tag: Field = Field.GF2) -> list[int]:
 
     Both are exact.  They differ only when the integral homology has
     2-torsion: the real projective plane gives [1, 1, 1] over GF(2) and
-    [1, 0, 0] over the rationals.  The rational rank of each d_n is the
-    larger of its ranks mod two primes below 2**31.
+    [1, 0, 0] over the rationals.  The rational rank of each d_n is its
+    rank mod one prime, 2**61 - 1, which is wrong only if that prime
+    divides a torsion coefficient of the integral homology.
     """
     maps = [boundary_matrix(c, n, field_tag) for n in range(2, c.max_dim + 1)]
-    if field_tag is Field.GF2:
-        upper = _cleared_ranks(maps, _reduce_gf2)
-    else:
-        per_prime = [_cleared_ranks(maps, partial(_reduce_mod_p, p=p)) for p in _PRIMES]
-        upper = [max(ranks) for ranks in zip(*per_prime)]
     # d_0 and the map above the top are zero; rank d_1 = |V| - #components.
-    ranks = [0, c.n_simplices(0) - connected_components(c), *upper, 0]
+    ranks = [0, c.n_simplices(0) - connected_components(c), *_ranks(maps, field_tag), 0]
     return [c.n_simplices(n) - ranks[n] - ranks[n + 1] for n in range(c.max_dim + 1)]
 
 

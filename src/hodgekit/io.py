@@ -53,6 +53,12 @@ def _int_list(value: Any, what: str) -> list[int]:
     return value
 
 
+def _dim(obj: dict) -> int:
+    if type(obj["dim"]) is not int or obj["dim"] < 0:  # a JSON true is a bool, not a dimension
+        raise FormatError('"dim" must be a non-negative integer')
+    return obj["dim"]
+
+
 def _finite(value: Any) -> bool:
     # abs(v) <= FLOAT_MAX is False for NaN and Infinity, and exact for integers past float range.
     numbers = isinstance(value, list) and set(map(type, value)) <= {int, float}
@@ -85,10 +91,7 @@ def complex_to_obj(top_simplices: list[list[int]]) -> dict:
 
 def parse_signal(obj: Any) -> Cochain:
     _require_keys(obj, {"dim", "values"}, "signal file")
-    if not isinstance(obj["dim"], int) or obj["dim"] < 0:
-        raise FormatError('"dim" must be a non-negative integer')
-    values = _float_list(obj["values"], '"values"')
-    return Cochain(obj["dim"], np.array(values))
+    return Cochain(_dim(obj), np.array(_float_list(obj["values"], '"values"')))
 
 
 def signal_to_obj(x: Cochain) -> dict:
@@ -97,15 +100,14 @@ def signal_to_obj(x: Cochain) -> dict:
 
 def parse_filter(obj: Any) -> FilterSpec:
     _require_keys(obj, {"dim", "alpha0", "down", "up"}, "filter file")
-    if not isinstance(obj["dim"], int) or obj["dim"] < 0:
-        raise FormatError('"dim" must be a non-negative integer')
+    n = _dim(obj)
     if not isinstance(obj["alpha0"], (int, float)) or isinstance(obj["alpha0"], bool):
         raise FormatError('"alpha0" must be a number')
     (alpha0,) = _float_list([obj["alpha0"]], '"alpha0"')
     down = _float_list(obj["down"], '"down"')
     up = _float_list(obj["up"], '"up"')
     try:
-        return FilterSpec(obj["dim"], alpha0, tuple(down), tuple(up))
+        return FilterSpec(n, alpha0, tuple(down), tuple(up))
     except ValueError as exc:
         raise FormatError(f"invalid filter: {exc}") from exc
 
@@ -174,9 +176,7 @@ def parse_sheaf(obj: Any, c: SimplicialComplex) -> Sheaf:
 
 def parse_assignment(obj: Any, sh: Sheaf) -> Assignment:
     _require_keys(obj, {"dim", "blocks"}, "assignment file")
-    n = obj["dim"]
-    if not isinstance(n, int) or n < 0:
-        raise FormatError('"dim" must be a non-negative integer')
+    n = _dim(obj)
     blocks = obj["blocks"]
     if not isinstance(blocks, list):
         raise FormatError('"blocks" must be a list')

@@ -61,11 +61,8 @@ def eigendecompose(
     if not np.max(np.abs(a - a.T)) <= tol * max(np.max(np.abs(a)), 1.0):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     eigenvalues, vectors = np.linalg.eigh((a + a.T) / 2.0)
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            vectors[:, k] = -col
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors *= np.where(lead < 0, -1.0, 1.0)
     return SpectralBasis(eigenvalues, vectors, dimension)
 
 

@@ -58,6 +58,12 @@ def test_inner_product_shape_errors():
         )
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_weights_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        InnerProductWeights({1: [bad, 1.0, 1.0]})
+
+
 def test_adjoint_is_transpose_for_unit_weights():
     adj = adjoint_boundary(TRIANGLE_GRAPH, 1)
     d1t = transpose(boundary_matrix(TRIANGLE_GRAPH, 1, Field.REAL))

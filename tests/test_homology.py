@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -329,6 +330,50 @@ def test_rank_real_matches_reference_elimination(m, tol):
 def test_gf2_kernels_match_reference_elimination(m):
     assert rank_gf2(m) == reference_rank_gf2(m)
     assert snf_gf2(m) == reference_snf_gf2(m)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices with entries in -3..3, stored as Field.REAL.
+
+    One of: uniform entries; entries kept with probability 0.3; or a few
+    rows repeated and negated, so the rank falls below the shape.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(SHAPES)
+    a = rng.integers(-3, 4, size=(rows, cols))
+    kind = draw(st.sampled_from(["uniform", "sparse", "repeated"]))
+    if kind == "sparse":
+        a = np.where(rng.random((rows, cols)) < 0.3, a, 0)
+    elif kind == "repeated":
+        picks = rng.integers(0, draw(st.integers(1, rows)), rows)
+        a = rng.choice([-1, 1], size=(rows, 1)) * a[picks]
+    return a, SparseMatrix.from_dense(a.astype(np.float64), Field.REAL)
+
+
+def fraction_rank(a: np.ndarray) -> int:
+    """Exact rational rank by Gaussian elimination over Fractions."""
+    rows = [[Fraction(int(v)) for v in row] for row in a]
+    rank = 0
+    for col in range(a.shape[1]):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=integer_matrices())
+def test_rational_kernel_is_exact_on_integer_matrices(case):
+    a, m = case
+    expected = fraction_rank(a)
+    assert homology._ranks([m], Field.REAL) == [expected]
+    assert homology._ranks([transpose(m)], Field.REAL) == [expected]
 
 
 def test_rank_real_tolerance_edge_known_answers():

@@ -80,6 +80,10 @@ def test_parse_signal_and_filter_validation():
         io.parse_signal({"dim": -1, "values": []})
     with pytest.raises(FormatError):
         io.parse_signal({"dim": 0, "values": [1], "junk": 2})
+    with pytest.raises(FormatError, match='"dim" must be a non-negative integer'):
+        io.parse_signal({"dim": True, "values": [1, 2, 3]})
+    with pytest.raises(FormatError, match='"dim" must be a non-negative integer'):
+        io.parse_filter({"dim": True, "alpha0": 0.5, "down": [], "up": []})
     spec = io.parse_filter({"dim": 1, "alpha0": 0.5, "down": [1, 2], "up": []})
     assert spec.down_coeffs == (1.0, 2.0)
     with pytest.raises(FormatError):
@@ -368,6 +372,10 @@ def test_cli_sheaf_rejects_bad_blocks(tmp_path, capsys):
     wrong = write_json(tmp_path / "wrong.json", {"dim": 0, "blocks": [[1, 2, 3]]})
     assert main(["sheaf-check", complex_file, sheaf_file, wrong]) == 2
     capsys.readouterr()
+    # A JSON true is a bool, not a dimension.
+    boolean = write_json(tmp_path / "bool.json", {"dim": True, "blocks": [[1, 2, 3]] * 3})
+    assert main(["sheaf-check", complex_file, sheaf_file, boolean]) == 2
+    assert '"dim" must be a non-negative integer' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
