@@ -53,6 +53,7 @@ from .spectral import (
     SpectralBasis,
     compare_spectra,
     eigendecompose,
+    eigenvalues,
     inverse_sft,
     sft,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "connected_components",
     "constant_sheaf",
     "eigendecompose",
+    "eigenvalues",
     "filter_signal",
     "gradient",
     "harmonic_basis",

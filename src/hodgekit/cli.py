@@ -20,22 +20,19 @@ from . import generators, io
 from .chains import Cochain, Field, boundary_matrix
 from .errors import BadParams, HodgekitError, NumericalFailure
 from .filters import filter_signal
-from .hodge import hodge_decompose, hodge_laplacian, symmetrized
+from .hodge import hodge_decompose, hodge_laplacian
 from .homology import betti
 from .sheaf import check_consistency, sheaf_cohomology_dims
-from .spectral import compare_spectra, eigendecompose, inverse_sft, sft
+from .spectral import compare_spectra, eigendecompose, eigenvalues, inverse_sft, sft
 
 
 def _emit(text: str, output: str | None) -> None:
+    text += "" if text.endswith("\n") else "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _emit_json(obj, output: str | None) -> None:
@@ -89,10 +86,8 @@ def _cmd_laplacian(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    c = _load_complex(args.complex)
-    ops = hodge_laplacian(c, args.dim)
-    basis = eigendecompose(symmetrized(ops), dimension=args.dim)
-    lines = ["eigenvalue"] + [repr(float(v)) for v in basis.eigenvalues]
+    values = eigenvalues(hodge_laplacian(_load_complex(args.complex), args.dim).full)
+    lines = ["eigenvalue"] + [repr(float(v)) for v in values]
     _emit("\n".join(lines), args.output)
     return 0
 
@@ -307,10 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (HodgekitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HodgekitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,11 @@
 """Eigendecomposition, simplicial Fourier transform, spectra comparison."""
 
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgekit import (
     Cochain,
@@ -11,14 +15,17 @@ from hodgekit import (
     build_complex,
     compare_spectra,
     eigendecompose,
+    eigenvalues,
+    harmonic_basis,
     hodge_laplacian,
     inverse_sft,
     sft,
 )
 from hodgekit import generators as gen
+from hodgekit.cli import main
 from hodgekit.errors import FieldMismatch, NotAGraph, NotSymmetric, ShapeMismatch
 
-from conftest import CORPUS
+from conftest import CORPUS, CORPUS_TOPS
 
 
 def laplacian_matrix(c, n):
@@ -169,3 +176,95 @@ def test_horak_jost_on_random_graphs():
         assert report.zero_mult_diff == report.b0_minus_b1
         b = betti(c)
         assert report.b0_minus_b1 == b[0] - (b[1] if len(b) > 1 else 0)
+
+
+def _outcome(solve, *args, **kwargs):
+    """The exception type and message a call raises, or None when it returns."""
+    try:
+        solve(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the test compares whatever is raised
+        return type(exc), str(exc)
+    return None
+
+
+# Symmetric entries plus skews down to 1e-13, which survive from_coo because they
+# perturb entries of size ~1, while a 1e-12 zero threshold on L - L^T would drop them.
+SKEWS = st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, 1e-11, 1e-10, 3e-9, 0.5])
+
+
+@st.composite
+def near_symmetric(draw):
+    n = draw(st.integers(1, 7))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entries = draw(st.lists(st.tuples(cells, st.floats(-4.0, 4.0), SKEWS), max_size=3 * n))
+    rows, cols, data = [], [], []
+    for (i, j), value, skew in entries:
+        if abs(value) > 1e-3:  # one-sided values below from_coo's threshold would vanish
+            rows += [i, j]
+            cols += [j, i]
+            data += [value, value + skew]
+    return SparseMatrix.from_coo(n, n, rows, cols, data, Field.REAL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=near_symmetric(), tol=st.sampled_from([0.0, 1e-12, 1e-10]))
+def test_eigenvalues_match_eigendecompose_and_the_dense_verdict(L, tol):
+    a = L.toarray()
+    symmetric = np.max(np.abs(a - a.T)) <= tol * max(np.max(np.abs(a)), 1.0)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        full = _outcome(eigendecompose, L, tol)
+    assert _outcome(eigenvalues, L, tol) == full
+    assert (full is None) == symmetric
+    if symmetric:
+        assert np.array_equal(eigh.call_args.args[0], (a + a.T) / 2.0)
+        values = eigendecompose(L, tol).eigenvalues
+        bound = 1e-12 * max(values[-1], 1.0)
+        assert np.max(np.abs(eigenvalues(L, tol) - values)) <= bound
+    else:
+        assert full == (NotSymmetric, "matrix is not symmetric within tolerance")
+        assert eigh.call_count == 0
+
+
+@pytest.mark.parametrize(
+    "matrix, tol",
+    [
+        (SparseMatrix.identity(3, Field.GF2), 1e-10),
+        (SparseMatrix.identity(3, Field.GF2), float("nan")),
+        (SparseMatrix.zeros(2, 3, Field.REAL), 1e-10),
+        (SparseMatrix.zeros(0, 4, Field.REAL), 1e-10),
+        (SparseMatrix.zeros(0, 0, Field.REAL), 1e-10),
+        (SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]), Field.REAL), 1e-10),
+        (SparseMatrix.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]), Field.REAL), 1e-10),
+        (SparseMatrix.identity(2, Field.REAL), float("nan")),
+        (SparseMatrix.identity(2, Field.REAL), -1.0),
+        (SparseMatrix.identity(2, Field.REAL), float("inf")),
+    ],
+)
+def test_eigenvalues_fail_like_eigendecompose(matrix, tol):
+    full = _outcome(eigendecompose, matrix, tol)
+    assert _outcome(eigenvalues, matrix, tol) == full
+    if full is None:
+        assert np.array_equal(eigenvalues(matrix, tol), eigendecompose(matrix, tol).eigenvalues)
+
+
+def test_only_the_vector_paths_call_eigh(monkeypatch, tmp_path, capsys):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps({"top_simplices": CORPUS_TOPS["torus7"]}))
+    assert main(["spectrum", str(torus), "--dim", "1"]) == 0
+    assert len(capsys.readouterr().out.split()) == 22  # the header and 21 edges
+    assert compare_spectra(build_complex(gen.crosslinked_cycle(10, 3, 0))).agree
+    assert calls == []
+    signal = tmp_path / "signal.json"
+    signal.write_text(json.dumps({"dim": 1, "values": [float(i % 3) for i in range(21)]}))
+    assert main(["sft", str(torus), str(signal), "--dim", "1"]) == 0
+    assert calls == [(21, 21)]
+    assert len(harmonic_basis(hodge_laplacian(CORPUS["torus7"], 1))) == 2
+    assert calls == [(21, 21), (21, 21)]
