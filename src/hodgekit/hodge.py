@@ -196,8 +196,11 @@ def harmonic_basis(ops: HodgeOperators, tol: float | None = None) -> list[Cochai
     basis = eigendecompose(symmetrized(ops), dimension=ops.dimension)
     threshold = tol if tol is not None else HARMONIC_RTOL * basis.lambda_max
     inv_sqrt_w = 1.0 / np.sqrt(ops.weight_vector)
-    kernel = basis.eigenvectors[:, basis.eigenvalues <= threshold]
-    return [Cochain(ops.dimension, inv_sqrt_w * v) for v in kernel.T]
+    out = []
+    for k in range(basis.size):
+        if basis.eigenvalues[k] <= threshold:
+            out.append(Cochain(ops.dimension, inv_sqrt_w * basis.eigenvectors[:, k]))
+    return out
 
 
 def _weighted_projection(b: SparseMatrix, s: np.ndarray, w: np.ndarray) -> np.ndarray:

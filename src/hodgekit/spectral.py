@@ -1,10 +1,12 @@
 """Symmetric eigendecomposition, simplicial Fourier transform, spectra checks.
 
-The eigendecompose contract is: full spectrum, ascending eigenvalues, orthonormal
-eigenvectors, and a deterministic sign convention (each eigenvector's largest-magnitude
-entry is positive, first such entry on ties).  Within a numerically repeated eigenvalue
-the basis is arbitrary, so comparisons across runs should use subspace projectors, not
-vectors.  Callers that need only the spectrum use eigenvalues(), which skips the vectors.
+The eigendecompose contract is: full spectrum, ascending eigenvalues,
+orthonormal eigenvectors, and a deterministic sign convention (each
+eigenvector's largest-magnitude entry is positive, first such entry on
+ties).  Within a numerically repeated eigenvalue the basis is arbitrary,
+so comparisons across runs should use subspace projectors, not vectors.
+Callers that need only the spectrum use eigenvalues(), which skips the
+vectors.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ if TYPE_CHECKING:
     from .complex import SimplicialComplex
 
 HARMONIC_RTOL = 1e-8
+SYMMETRY_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,27 +45,20 @@ class SpectralBasis:
 
 
 def _symmetric_part(L: SparseMatrix, tol: float) -> np.ndarray:
-    """Both eigensolvers' checks, then the dense (L + L^T) / 2 built from the nonzeros.
-
-    L[i,j] - L[j,i] and L[i,j] + L[j,i] are one IEEE operation per position with
-    no zero threshold, so the verdict and the array are the dense formulas' bit for bit.
-    """
+    """Both eigensolvers' checks, then the dense (L + L^T) / 2 that LAPACK reads."""
     _check_tol(tol)
     if L.field_tag is not Field.REAL:
         raise FieldMismatch("eigendecomposition needs a real matrix")
-    if (n := L.rows) != L.cols:
-        raise NotSymmetric(f"matrix is {n}x{L.cols}, not square")
-    key, slot = np.unique(np.r_[L.row * n + L.col, L.col * n + L.row], return_inverse=True)
-    skew = np.abs(np.bincount(slot, np.r_[L.data, -L.data], len(key)))
-    if not np.max(skew, initial=0.0) <= tol * max(np.max(np.abs(L.data), initial=0.0), 1.0):
+    a = L.toarray()
+    if a.shape[0] != a.shape[1]:
+        raise NotSymmetric(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    if a.size and not np.max(np.abs(a - a.T)) <= tol * max(np.max(np.abs(a)), 1.0):
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    out = np.zeros((n, n))
-    out.flat[key] = np.bincount(slot, np.r_[L.data, L.data], len(key)) / 2.0
-    return out
+    return (a + a.T) / 2.0
 
 
 def eigendecompose(
-    L: SparseMatrix, tol: float = 1e-10, dimension: int | None = None
+    L: SparseMatrix, tol: float = SYMMETRY_RTOL, dimension: int | None = None
 ) -> SpectralBasis:
     """Full eigendecomposition of a symmetric real matrix.
 
@@ -79,9 +75,9 @@ def eigendecompose(
     return SpectralBasis(values, vectors, dimension)
 
 
-def eigenvalues(L: SparseMatrix, tol: float = 1e-10) -> np.ndarray:
-    """eigendecompose's ascending eigenvalues (to ~1e-13 of the largest), without vectors."""
-    a = _symmetric_part(L, tol)
+def eigenvalues(L: SparseMatrix) -> np.ndarray:
+    """eigendecompose(L)'s ascending eigenvalues (to ~1e-13 of the largest), without vectors."""
+    a = _symmetric_part(L, SYMMETRY_RTOL)
     return np.linalg.eigvalsh(a) if a.size else np.zeros(0)
 
 
@@ -133,11 +129,16 @@ def compare_spectra(c: SimplicialComplex, tol: float | None = None) -> SpectraRe
     A NaN, infinite or negative tol raises ValueError.
     """
     _check_tol(tol)
-    ev0, ev1 = (eigenvalues(m) for m in graph_laplacians(c))
+    l0, l1 = graph_laplacians(c)
+    ev0 = eigenvalues(l0)
+    ev1 = eigenvalues(l1)
     lam_max = max(float(ev[-1]) if ev.size else 0.0 for ev in (ev0, ev1))
+    zero_thr = HARMONIC_RTOL * lam_max
     match_tol = tol if tol is not None else 1e-6 * lam_max
-    nz0, nz1 = (tuple(float(v) for v in ev if v > HARMONIC_RTOL * lam_max) for ev in (ev0, ev1))
+    nz0 = tuple(float(v) for v in ev0 if v > zero_thr)
+    nz1 = tuple(float(v) for v in ev1 if v > zero_thr)
     agree = len(nz0) == len(nz1) and all(abs(a - b) <= match_tol for a, b in zip(nz0, nz1))
-    b0, b1 = (betti(c, Field.GF2) + [0])[:2]
+    b = betti(c, Field.GF2)
+    b0_minus_b1 = b[0] - (b[1] if len(b) > 1 else 0)
     zero_mult_diff = (len(ev0) - len(nz0)) - (len(ev1) - len(nz1))
-    return SpectraReport(nz0, nz1, agree, zero_mult_diff, b0 - b1)
+    return SpectraReport(nz0, nz1, agree, zero_mult_diff, b0_minus_b1)
