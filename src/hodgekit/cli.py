@@ -174,30 +174,25 @@ def _cmd_spectra_compare(args) -> int:
     return 0
 
 
-def _cmd_generate(args) -> int:
-    kind = args.kind
-    if kind == "cycle":
-        tops = generators.cycle(_require_n(args))
-    elif kind == "path":
-        tops = generators.path(_require_n(args))
-    elif kind == "sphere2":
-        tops = generators.sphere2()
-    elif kind == "torus":
-        tops = generators.torus()
-    elif kind == "random-graph":
-        tops = generators.random_graph(_require_n(args), args.p, args.seed)
-    elif kind == "crosslinked-cycle":
-        tops = generators.crosslinked_cycle(_require_n(args), args.k, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise BadParams(f"unknown kind {kind}")
-    _emit_json(io.complex_to_obj(tops), args.output)
-    return 0
-
-
 def _require_n(args) -> int:
     if args.n is None:
         raise BadParams(f"--n is required for kind {args.kind}")
     return args.n
+
+
+_GENERATORS = {
+    "cycle": lambda args: generators.cycle(_require_n(args)),
+    "path": lambda args: generators.path(_require_n(args)),
+    "sphere2": lambda args: generators.sphere2(),
+    "torus": lambda args: generators.torus(),
+    "random-graph": lambda args: generators.random_graph(_require_n(args), args.p, args.seed),
+    "crosslinked-cycle": lambda args: generators.crosslinked_cycle(_require_n(args), args.k, args.seed),
+}
+
+
+def _cmd_generate(args) -> int:
+    _emit_json(io.complex_to_obj(_GENERATORS[args.kind](args)), args.output)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,10 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectra_compare)
 
     p = sub.add_parser("generate", help="emit a fixture complex as JSON")
-    p.add_argument(
-        "kind",
-        choices=["cycle", "path", "sphere2", "torus", "random-graph", "crosslinked-cycle"],
-    )
+    p.add_argument("kind", choices=_GENERATORS)
     p.add_argument("--n", type=int, default=None, help="size parameter")
     p.add_argument("--k", type=int, default=0, help="chord count (crosslinked-cycle)")
     p.add_argument("--p", type=float, default=0.3, help="edge probability (random-graph)")

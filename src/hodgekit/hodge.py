@@ -45,7 +45,7 @@ CG_MAX_ITER_PER_UNKNOWN = 10
 
 
 class InnerProductWeights:
-    """Finite, strictly positive diagonal weights per chain dimension.
+    """Finite, strictly positive diagonal weights per non-negative chain dimension.
 
     Dimensions without an explicit vector use the standard (all-ones)
     inner product.
@@ -54,6 +54,8 @@ class InnerProductWeights:
     def __init__(self, weights: Mapping[int, "np.ndarray | list[float]"] | None = None):
         self._weights: dict[int, np.ndarray] = {}
         for dim, values in (weights or {}).items():
+            if int(dim) < 0:
+                raise ValueError(f"weights dimension {dim} is negative")
             vec = np.asarray(values, dtype=np.float64)
             if vec.ndim != 1:
                 raise ShapeMismatch(f"weights for dimension {dim} must be a vector")

@@ -13,6 +13,8 @@ Formats (all JSON unless noted):
 
 Unknown fields are rejected everywhere, and so are NaN, Infinity (both
 accepted by json.load) and integers beyond float range in any number.
+Only what JSON can get wrong is checked here; labels, stalks, maps and
+weight signs are checked by the complex, Sheaf and InnerProductWeights.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .chains import Cochain, SparseMatrix
 from .complex import Simplex, SimplicialComplex, build_complex
-from .errors import DuplicateVertex, EmptySimplex, FormatError, HodgekitError, InvalidVertex
+from .errors import FormatError, HodgekitError
 from .filters import FilterSpec
 from .hodge import InnerProductWeights
 from .sheaf import Assignment, Sheaf
@@ -47,9 +49,9 @@ def _require_keys(obj: dict, required: set[str], what: str, optional: set[str] =
         raise FormatError(f"{what} has unknown fields: {sorted(unknown)}")
 
 
-def _int_list(value: Any, what: str) -> list[int]:
-    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
-        raise FormatError(f"{what} must be a list of integers")
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a list")
     return value
 
 
@@ -76,10 +78,10 @@ def parse_complex(obj: Any) -> SimplicialComplex:
     tops = obj["top_simplices"]
     if not isinstance(tops, list) or not tops:
         raise FormatError('"top_simplices" must be a non-empty list')
-    if not set(map(type, tops)) <= {list} or not set(map(type, chain.from_iterable(tops))) <= {int}:
-        for i, entry in enumerate(tops):  # name the first entry that is not a list of integers
-            _int_list(entry, f"top_simplices[{i}]")
-    try:
+    if not set(map(type, tops)) <= {list}:
+        for i, entry in enumerate(tops):  # name the first entry that is not a list
+            _list(entry, f"top_simplices[{i}]")
+    try:  # the complex reports the first top with a bad label, in input order
         return build_complex(tops)
     except HodgekitError as exc:
         raise FormatError(f"invalid complex: {exc}") from exc
@@ -117,57 +119,54 @@ def parse_weights(obj: Any) -> InnerProductWeights:
         raise FormatError("weights file must be a JSON object")
     table = {}
     for key, values in obj.items():
-        try:
-            dim = int(key)
-        except (TypeError, ValueError):
-            raise FormatError(f"weights key {key!r} is not a dimension") from None
-        vec = _float_list(values, f"weights[{key}]")
-        if any(v <= 0 for v in vec):
-            raise FormatError(f"weights[{key}] must be strictly positive")
-        table[dim] = vec
-    return InnerProductWeights(table)
+        try:  # plain decimal text only, so that no two keys name one dimension
+            plain = key == str(int(key))
+        except ValueError:
+            plain = False
+        if not plain:
+            raise FormatError(f"weights key {key!r} is not a dimension")
+        table[int(key)] = _float_list(values, f"weights[{key}]")
+    try:
+        return InnerProductWeights(table)
+    except ValueError as exc:
+        raise FormatError(f"invalid weights: {exc}") from exc
 
 
 def _matrix(value: Any, what: str) -> np.ndarray:
     """A restriction matrix: a list of equally long rows of finite numbers."""
-    if not isinstance(value, list):
-        raise FormatError(f"{what} must be a list of rows")
-    if not set(map(type, value)) <= {list} or not _finite(list(chain.from_iterable(value))):
+    rows = _list(value, what)
+    if not set(map(type, rows)) <= {list} or not _finite(list(chain.from_iterable(rows))):
         raise FormatError(f"{what} row must be a list of finite numbers")
-    return np.array(value, dtype=np.float64)  # rows of different lengths raise ValueError
+    return np.array(rows, dtype=np.float64)  # rows of different lengths raise ValueError
 
 
-def _stalk_key(key: str) -> tuple[int, ...]:
+def _stalk_key(key: str) -> tuple:
     try:
-        vertices = _int_list(json.loads(key), f"stalk key {key!r}")
-        if not vertices or min(vertices) < 0 or len(set(vertices)) < len(vertices):
-            Simplex(tuple(vertices))  # raises, naming what is wrong with them
-    except json.JSONDecodeError:
+        return tuple(_list(json.loads(key), f"stalk key {key!r}"))
+    except (json.JSONDecodeError, RecursionError):  # nested too deep for the decoder
         raise FormatError(f"stalk key {key!r} is not a JSON vertex list") from None
-    except (EmptySimplex, InvalidVertex, DuplicateVertex) as exc:
-        raise FormatError(f"stalk key {key!r}: {exc}") from exc
-    return tuple(vertices)
 
 
 def parse_sheaf(obj: Any, c: SimplicialComplex) -> Sheaf:
     _require_keys(obj, {"stalks", "restrictions"}, "sheaf file")
     if not isinstance(obj["stalks"], dict):
         raise FormatError('"stalks" must be an object')
-    stalks = {}
-    for key, dim in obj["stalks"].items():
-        if type(dim) is not int or dim < 0:
-            raise FormatError(f"stalk dimension for {key!r} must be a non-negative integer")
-        stalks[_stalk_key(key)] = dim
-    if not isinstance(obj["restrictions"], list):
-        raise FormatError('"restrictions" must be a list')
-    maps = {}
-    for i, entry in enumerate(obj["restrictions"]):
+    stalks = [(_stalk_key(key), dim) for key, dim in obj["stalks"].items()]
+    maps = []
+    for i, entry in enumerate(_list(obj["restrictions"], '"restrictions"')):
         _require_keys(entry, {"face", "coface", "matrix"}, f"restrictions[{i}]")
-        face = _int_list(entry["face"], f"restrictions[{i}].face")
-        coface = _int_list(entry["coface"], f"restrictions[{i}].coface")
-        maps[tuple(face), tuple(coface)] = _matrix(entry["matrix"], f"restrictions[{i}].matrix")
+        face = tuple(_list(entry["face"], f"restrictions[{i}].face"))
+        coface = tuple(_list(entry["coface"], f"restrictions[{i}].coface"))
+        maps.append(((face, coface), _matrix(entry["matrix"], f"restrictions[{i}].matrix")))
     try:
-        return Sheaf(c, stalks, maps)
+        stalk_dims, restrictions = dict(stalks), dict(maps)
+    except TypeError:  # a label that is a list or an object
+        stalk_dims = restrictions = {}
+    if len(stalk_dims) + len(restrictions) < len(stalks) + len(maps):
+        # Keys were unhashable or merged, as (True,) and (1,) do: the complex names a bad label.
+        c._find([key for key, _ in stalks] + [key for pair, _ in maps for key in pair])
+    try:
+        return Sheaf(c, stalk_dims, restrictions)
     except HodgekitError:
         raise
     except ValueError as exc:
@@ -177,9 +176,7 @@ def parse_sheaf(obj: Any, c: SimplicialComplex) -> Sheaf:
 def parse_assignment(obj: Any, sh: Sheaf) -> Assignment:
     _require_keys(obj, {"dim", "blocks"}, "assignment file")
     n = _dim(obj)
-    blocks = obj["blocks"]
-    if not isinstance(blocks, list):
-        raise FormatError('"blocks" must be a list')
+    blocks = _list(obj["blocks"], '"blocks"')
     stalk = np.diff(sh.offsets(n)).tolist()
     if len(blocks) != len(stalk):
         raise FormatError(f"expected {len(stalk)} blocks for dimension {n}, got {len(blocks)}")
@@ -223,7 +220,7 @@ def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep for the decoder
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -42,13 +42,14 @@ Assignment = Cochain
 class Sheaf:
     """Validated sheaf over a simplicial complex.
 
-    stalk_dims must cover every simplex of the complex.  restrictions maps
-    (face, coface) pairs, as Simplex objects or vertex labels, to arrays of
-    shape (stalk(coface), stalk(face)) or that many entries; empty blocks
-    may be omitted, and a pair given twice keeps its last map.  Held as its
-    cochain complex: per dimension n, the start offsets _offsets[n] of the
-    n-simplices' stalks in canonical order, and the coboundary _delta[n],
-    each built once here.
+    stalk_dims gives every simplex of the complex an integer (not a bool)
+    >= 0, each dimension's totalling below 2**63, else ValueError.
+    restrictions maps (face, coface) pairs, as Simplex objects or vertex
+    labels, to arrays of shape (stalk(coface), stalk(face)) or that many
+    entries; empty blocks may be omitted, and a pair given twice keeps its
+    last map.  Held as its cochain complex: per dimension n, the start
+    offsets _offsets[n] of the n-simplices' stalks in canonical order, and
+    the coboundary _delta[n], each built once here.
     """
 
     def __init__(
@@ -60,15 +61,20 @@ class Sheaf:
         self.complex = c
         dim, pos = c._find(list(stalk_dims))
         given = list(stalk_dims.values())
-        bad = [k for k, d in enumerate(given) if not isinstance(d, (int, np.integer)) or d < 0]
+        bad = [k for k, d in enumerate(given) if type(d) is bool
+               or not isinstance(d, (int, np.integer)) or not 0 <= int(d) < 2**63]
         if bad:
             s = c.simplices(dim[bad[0]])[pos[bad[0]]]
-            raise ValueError(f"stalk dimension for {s} must be a non-negative integer")
+            raise ValueError(f"stalk dimension for {s} must be a non-negative integer below 2**63")
         stalks = [np.full(c.n_simplices(n), -1) for n in range(c.max_dim + 1)]
         for n, dims in enumerate(stalks):
             dims[pos[dim == n]] = np.array(given, dtype=np.int64)[dim == n]
             if (dims < 0).any():
                 raise MissingStalk(f"no stalk dimension for {c.simplices(n)[np.argmax(dims < 0)]}")
+            over = np.cumsum(dims, dtype=np.uint64) >= 2**63  # exact up to the first total past int64
+            if over.any():
+                s = c.simplices(n)[np.argmax(over)]
+                raise ValueError(f"stalks of dimension {n} total 2**63 or more at {s}")
         self._set_offsets(stalks)
         self._set_coboundaries(stalks, restrictions)
         self._check_commutativity()

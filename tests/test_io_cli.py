@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hodgekit
 from hodgekit import Field, Simplex, SparseMatrix, betti, check_consistency
-from hodgekit import io
+from hodgekit import generators, io
 from hodgekit.cli import main
 from hodgekit.errors import FormatError
+from hodgekit.hodge import InnerProductWeights
 
 from conftest import CORPUS_TOPS, LEFT_SHIFT, DROP_LAST, TORSION, random_clique_complex
 
@@ -98,6 +99,39 @@ def test_parse_signal_and_filter_validation():
         io.parse_weights({"zero": [1.0]})
 
 
+def test_parse_complex_reports_the_first_bad_top_in_input_order():
+    with pytest.raises(FormatError, match=r"^invalid complex: repeated vertex in \[0, 1, 0\]$"):
+        io.parse_complex({"top_simplices": [[0, 1, 0], [1.5]]})
+    with pytest.raises(FormatError, match=r"^top_simplices\[1\] must be a list$"):
+        io.parse_complex({"top_simplices": [[0, 1, 0], 5]})
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{"01": [1, 1, 1], "1": [2, 2, 2]}, {" 1": [1.0]}, {"1_0": [1.0]}, {"-1": [1.0]},
+     {"+1": [1.0]}, {"-0": [1.0]}, {"\u0661": [1.0]}, {"1" * 5000: [1.0]}],
+)
+def test_weights_keys_are_plain_decimal_dimensions(weights):
+    with pytest.raises(FormatError):
+        io.parse_weights(weights)
+
+
+def test_weights_signs_and_dimensions_are_checked_by_the_weights():
+    assert io.parse_weights({"0": [1.0], "10": [2.0]}).vector(10, 1).tolist() == [2.0]
+    with pytest.raises(FormatError, match="^invalid weights: weights for dimension 1 must be"):
+        io.parse_weights({"1": [1.0, 0.0]})
+    with pytest.raises(ValueError, match="negative"):
+        InnerProductWeights({-1: [1.0]})
+
+
+def test_cli_laplacian_rejects_two_keys_for_one_dimension(triangle_file, tmp_path, capsys):
+    for pair in ({"01": [1, 1, 1], "1": [2, 2, 2]}, {"1": [2, 2, 2], "01": [1, 1, 1]}):
+        weights = write_json(tmp_path / "w.json", pair)
+        assert main(["laplacian", triangle_file, "--dim", "1", "--weights", weights]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: weights key '01' is not a dimension\n"
+
+
 def test_matrix_csv_layout():
     m = SparseMatrix.from_dense(np.array([[2.0, -1.0], [0.0, 1.0]]), Field.REAL)
     text = io.matrix_to_csv(m, ["0", "1"], ["0-1", "1-2"])
@@ -124,6 +158,14 @@ def test_cli_betti_torsion_exits_0_in_both_fields(name, tmp_path, capsys):
         out = capsys.readouterr()
         assert out.out == json.dumps({"betti": expected}) + "\n"
         assert out.err == ""
+
+
+def test_cli_rejects_json_nested_past_the_decoders_depth(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"top_simplices": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert main(["betti", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {deep}: invalid JSON (")
 
 
 def test_cli_betti_rejects_empty_complex(tmp_path, capsys):
@@ -460,6 +502,26 @@ def test_cli_generate_bad_params(capsys):
     capsys.readouterr()
 
 
+GENERATE_KINDS = {
+    "cycle": lambda: generators.cycle(6),
+    "path": lambda: generators.path(6),
+    "sphere2": generators.sphere2,
+    "torus": generators.torus,
+    "random-graph": lambda: generators.random_graph(6, 0.5, 3),
+    "crosslinked-cycle": lambda: generators.crosslinked_cycle(6, 2, 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATE_KINDS))
+def test_cli_generate_each_kind_prints_its_generator(kind, capsys):
+    args = ["generate", kind, "--n", "6", "--k", "2", "--p", "0.5", "--seed", "3"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == json.dumps({"top_simplices": GENERATE_KINDS[kind]()}) + "\n"
+    if kind not in ("sphere2", "torus"):
+        assert main(["generate", kind]) == 2
+        assert capsys.readouterr().err == f"error: --n is required for kind {kind}\n"
+
+
 def test_cli_generate_random_graph_deterministic(capsys):
     assert main(["generate", "random-graph", "--n", "8", "--p", "0.4", "--seed", "3"]) == 0
     first = capsys.readouterr().out
@@ -537,6 +599,12 @@ def _stalk_key(old, new, dim=None):
     return edit
 
 
+def _stalks_past_int64(sheaf):
+    """Vertex stalks 2**62 and 2**62, so dimension 0 totals 2**63; edge stalks 0 need no maps."""
+    sheaf["stalks"].update({"[0]": 2**62, "[1]": 2**62, "[0,1]": 0, "[1,2]": 0})
+    sheaf["restrictions"].clear()
+
+
 FLOAT_MAX = sys.float_info.max
 
 # Every way a sheaf file fails to parse or validate: each must exit 2.
@@ -564,10 +632,22 @@ SHEAF_FILE_ERRORS = {
     "stalk dimension negative": _set(["stalks", "[0]"], -1),
     "stalk dimension bool": _set(["stalks", "[0]"], True),
     "stalk dimension float": _set(["stalks", "[0]"], 3.0),
+    "stalk dimension past float range": _set(["stalks", "[0]"], 10**30),
+    "stalk dimension 2**63": _set(["stalks", "[0]"], 2**63),
+    "stalk total past int64": _stalks_past_int64,
+    "stalk key with a bool beside its int": lambda sheaf: sheaf["stalks"].update({"[true]": 3}),
+    "stalk key holding a list": _stalk_key("[0]", "[[0]]"),
+    "stalk key nested past the decoder's depth": _stalk_key("[0]", "[" * 100_000 + "]" * 100_000),
     "stalk missing": lambda sheaf: sheaf["stalks"].pop("[2]"),
     "face unknown": _set(["restrictions", 0, "face"], [7]),
     "face with a bool": _set(["restrictions", 0, "face"], [False]),
     "face not a list": _set(["restrictions", 0, "face"], 0),
+    "face a JSON string": _set(["restrictions", 0, "face"], "[0]"),
+    "face an object": _set(["restrictions", 0, "face"], {"0": 0}),
+    "face holding an object": _set(["restrictions", 0, "face"], [{"0": 0}]),
+    "face with a float beside its int": lambda sheaf: sheaf["restrictions"].append(
+        {**sheaf["restrictions"][1], "face": [1.0]}
+    ),
     "face repeated vertex": _set(["restrictions", 0, "coface"], [0, 0]),
     "face empty": _set(["restrictions", 0, "face"], []),
     "not an incident pair": _set(["restrictions", 0, "face"], [2]),
@@ -590,6 +670,17 @@ def test_cli_sheaf_file_errors_exit_2(tmp_path, capsys, case):
     assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_sheaf_keys_spelled_twice_keep_the_last(tmp_path):
+    """Keys that name one simplex with valid labels merge as before: the last one wins."""
+    complex_file, sheaf_file = shift_register_files(tmp_path)
+    sheaf = json.loads(Path(sheaf_file).read_text(encoding="utf-8"))
+    sheaf["stalks"]["[0, 1]"] = sheaf["stalks"].pop("[0,1]")
+    sheaf["stalks"]["[0,1]"] = 2
+    sheaf["restrictions"].insert(0, {**sheaf["restrictions"][0], "matrix": [[9.0] * 3] * 2})
+    sh = io.parse_sheaf(sheaf, io.parse_complex(io.load_json(complex_file)))
+    assert sh.restriction(Simplex((0,)), Simplex((0, 1))).tolist() == LEFT_SHIFT.tolist()
 
 
 def test_sheaf_files_are_read_without_simplex_objects(monkeypatch):

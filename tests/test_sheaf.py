@@ -225,6 +225,17 @@ def test_sheaf_validation_errors():
         )
 
 
+def test_stalk_dimensions_are_integers_whose_totals_fit_int64():
+    line = build_complex([[0, 1]])
+    for bad in (True, np.int64(-1), -1, 1.0, np.bool_(True), 2**63, 10**30, np.uint64(2**63)):
+        with pytest.raises(ValueError, match=r"^stalk dimension for Simplex\(0,\) must be a non-neg"):
+            Sheaf(line, {(0,): bad, (1,): 1, (0, 1): 0}, {})
+    with pytest.raises(ValueError, match=r"^stalks of dimension 0 total 2\*\*63 or more at Simplex\(1,\)$"):
+        Sheaf(line, {(0,): 2**62, (1,): 2**62, (0, 1): 0}, {})
+    assert Sheaf(line, {(0,): np.int64(2), (1,): np.uint8(1), (0, 1): 0}, {}).total_dim(0) == 3
+    assert Sheaf(line, {(0,): 2**62, (1,): 2**62 - 1, (0, 1): 0}, {}).total_dim(0) == 2**63 - 1
+
+
 def test_restriction_needs_an_incident_pair():
     line = build_complex([[0, 1], [1, 2]])
     stalks = {(0,): 1, (1,): 1, (2,): 1, (0, 1): 0, (1, 2): 0}
