@@ -6,6 +6,11 @@ finite and so cannot be written as strict JSON.  Betti numbers are exact in
 both fields and never exit 3; `betti --field` picks the field, and a
 complex with 2-torsion (the real projective plane) has different GF(2) and
 rational answers.  The argument parser is built once, at import.
+
+There is one path from argv to output: `main` loads the complex and then the
+signal or sheaf that follows it, each `_cmd_*` reads any further files and
+returns its result (CSV text, or an object written as JSON), and `main`
+writes that result once.  `betti --dump-matrix` writes its CSV files itself.
 """
 
 from __future__ import annotations
@@ -44,10 +49,6 @@ def _emit_json(obj, output: str | None) -> None:
     _emit(text, output)
 
 
-def _load_complex(path: str):
-    return io.parse_complex(io.load_json(path))
-
-
 def _labels(c, n: int) -> list[str]:
     return [io.simplex_label(s) for s in c.simplices(n)]
 
@@ -61,8 +62,7 @@ def _tol(args) -> dict:
     return {"tol": args.tol}
 
 
-def _cmd_betti(args) -> int:
-    c = _load_complex(args.complex)
+def _cmd_betti(args, c):
     field = Field(args.field)
     values = betti(c, field)
     if args.dump_matrix:
@@ -71,40 +71,28 @@ def _cmd_betti(args) -> int:
             csv_text = io.matrix_to_csv(m, _labels(c, n - 1), _labels(c, n))
             with open(f"{args.dump_matrix}boundary_{n}.csv", "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
-    _emit_json({"betti": values}, args.output)
-    return 0
+    return {"betti": values}
 
 
-def _cmd_laplacian(args) -> int:
-    c = _load_complex(args.complex)
+def _cmd_laplacian(args, c):
     weights = io.parse_weights(io.load_json(args.weights)) if args.weights else None
     ops = hodge_laplacian(c, args.dim, weights)
     part = {"up": ops.up, "down": ops.down, "full": ops.full}[args.part]
     labels = _labels(c, args.dim)
-    _emit(io.matrix_to_csv(part, labels, labels), args.output)
-    return 0
+    return io.matrix_to_csv(part, labels, labels)
 
 
-def _cmd_spectrum(args) -> int:
-    values = eigenvalues(hodge_laplacian(_load_complex(args.complex), args.dim).full)
-    lines = ["eigenvalue"] + [repr(float(v)) for v in values]
-    _emit("\n".join(lines), args.output)
-    return 0
+def _cmd_spectrum(args, c):
+    values = eigenvalues(hodge_laplacian(c, args.dim).full)
+    return "\n".join(["eigenvalue"] + [repr(float(v)) for v in values])
 
 
-def _cmd_sft(args) -> int:
-    c = _load_complex(args.complex)
-    signal = io.parse_signal(io.load_json(args.signal))
-    ops = hodge_laplacian(c, args.dim)
-    basis = eigendecompose(ops.full, dimension=args.dim)
-    out = inverse_sft(signal, basis) if args.inverse else sft(signal, basis)
-    _emit_json(io.signal_to_obj(out), args.output)
-    return 0
+def _cmd_sft(args, c, signal):
+    basis = eigendecompose(hodge_laplacian(c, args.dim).full, dimension=args.dim)
+    return io.signal_to_obj(inverse_sft(signal, basis) if args.inverse else sft(signal, basis))
 
 
-def _cmd_decompose(args) -> int:
-    c = _load_complex(args.complex)
-    signal = io.parse_signal(io.load_json(args.signal))
+def _cmd_decompose(args, c, signal):
     weights = io.parse_weights(io.load_json(args.weights)) if args.weights else None
     irrot, harmonic, solenoid = hodge_decompose(signal, c, args.dim, weights, **_tol(args))
 
@@ -112,66 +100,39 @@ def _cmd_decompose(args) -> int:
         peak = float(np.max(np.abs(x.values), initial=0.0))
         return peak * float(np.linalg.norm(x.values / peak)) if peak else 0.0
 
-    _emit_json(
-        {
-            "dim": args.dim,
-            "irrot": [float(v) for v in irrot.values],
-            "harmonic": [float(v) for v in harmonic.values],
-            "solenoid": [float(v) for v in solenoid.values],
-            "norms": {
-                "irrot": norm(irrot),
-                "harmonic": norm(harmonic),
-                "solenoid": norm(solenoid),
-            },
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "dim": args.dim,
+        "irrot": [float(v) for v in irrot.values],
+        "harmonic": [float(v) for v in harmonic.values],
+        "solenoid": [float(v) for v in solenoid.values],
+        "norms": {"irrot": norm(irrot), "harmonic": norm(harmonic), "solenoid": norm(solenoid)},
+    }
 
 
-def _cmd_filter(args) -> int:
-    c = _load_complex(args.complex)
-    signal = io.parse_signal(io.load_json(args.signal))
+def _cmd_filter(args, c, signal):
     spec = io.parse_filter(io.load_json(args.filter))
-    ops = hodge_laplacian(c, spec.dimension)
-    _emit_json(io.signal_to_obj(filter_signal(spec, ops, signal)), args.output)
-    return 0
+    return io.signal_to_obj(filter_signal(spec, hodge_laplacian(c, spec.dimension), signal))
 
 
-def _cmd_sheaf_cohomology(args) -> int:
-    c = _load_complex(args.complex)
-    sh = io.parse_sheaf(io.load_json(args.sheaf), c)
-    dims = sheaf_cohomology_dims(c, sh, **_tol(args))
-    _emit_json({"cohomology_dims": dims}, args.output)
-    return 0
+def _cmd_sheaf_cohomology(args, c, sh):
+    return {"cohomology_dims": sheaf_cohomology_dims(c, sh, **_tol(args))}
 
 
-def _cmd_sheaf_check(args) -> int:
-    c = _load_complex(args.complex)
-    sh = io.parse_sheaf(io.load_json(args.sheaf), c)
+def _cmd_sheaf_check(args, c, sh):
     assignment = io.parse_assignment(io.load_json(args.assignment), sh)
     consistent, residual = check_consistency(c, sh, assignment, **_tol(args))
-    _emit_json(
-        {"consistent": consistent, "residual": io.assignment_to_obj(residual, sh)},
-        args.output,
-    )
-    return 0
+    return {"consistent": consistent, "residual": io.assignment_to_obj(residual, sh)}
 
 
-def _cmd_spectra_compare(args) -> int:
-    c = _load_complex(args.complex)
+def _cmd_spectra_compare(args, c):
     report = compare_spectra(c, **_tol(args))
-    _emit_json(
-        {
-            "agree": report.agree,
-            "zero_mult_diff": report.zero_mult_diff,
-            "b0_minus_b1": report.b0_minus_b1,
-            "l0_nonzero": list(report.l0_nonzero),
-            "l1_nonzero": list(report.l1_nonzero),
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "agree": report.agree,
+        "zero_mult_diff": report.zero_mult_diff,
+        "b0_minus_b1": report.b0_minus_b1,
+        "l0_nonzero": list(report.l0_nonzero),
+        "l1_nonzero": list(report.l1_nonzero),
+    }
 
 
 def _require_n(args) -> int:
@@ -190,9 +151,17 @@ _GENERATORS = {
 }
 
 
-def _cmd_generate(args) -> int:
-    _emit_json(io.complex_to_obj(_GENERATORS[args.kind](args)), args.output)
-    return 0
+def _cmd_generate(args):
+    return io.complex_to_obj(_GENERATORS[args.kind](args))
+
+
+# Arguments that several subcommands share; -o/--output, which all take, is added last.
+_SHARED = {
+    "complex": {},
+    "--dim": {"type": int, "required": True},
+    "--weights": {"default": None},
+    "--tol": {"type": float, "default": None},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,85 +171,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+    def command(name: str, func, help: str, *arguments: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for arg in arguments:
+            p.add_argument(arg, **_SHARED.get(arg, {}))
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("betti", help="Betti numbers of a complex")
-    p.add_argument("complex")
+    p = command("betti", _cmd_betti, "Betti numbers of a complex", "complex")
     p.add_argument("--field", choices=["gf2", "real"], default="gf2")
     p.add_argument("--dump-matrix", default=None, metavar="PREFIX",
                    help="also write boundary_<n>.csv files with this prefix")
-    common(p)
-    p.set_defaults(func=_cmd_betti)
-
-    p = sub.add_parser("laplacian", help="Hodge Laplacian as dense CSV")
-    p.add_argument("complex")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--weights", default=None)
+    p = command("laplacian", _cmd_laplacian, "Hodge Laplacian as dense CSV",
+                "complex", "--dim", "--weights")
     p.add_argument("--part", choices=["up", "down", "full"], default="full")
-    common(p)
-    p.set_defaults(func=_cmd_laplacian)
-
-    p = sub.add_parser("spectrum", help="Laplacian eigenvalues as CSV")
-    p.add_argument("complex")
-    p.add_argument("--dim", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("sft", help="simplicial Fourier transform of a signal")
-    p.add_argument("complex")
-    p.add_argument("signal")
-    p.add_argument("--dim", type=int, required=True)
+    command("spectrum", _cmd_spectrum, "Laplacian eigenvalues as CSV", "complex", "--dim")
+    p = command("sft", _cmd_sft, "simplicial Fourier transform of a signal",
+                "complex", "signal", "--dim")
     p.add_argument("--inverse", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_sft)
-
-    p = sub.add_parser("decompose", help="Hodge decomposition of a signal")
-    p.add_argument("complex")
-    p.add_argument("signal")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("filter", help="apply a polynomial simplicial filter")
-    p.add_argument("complex")
-    p.add_argument("signal")
-    p.add_argument("filter")
-    common(p)
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("sheaf-cohomology", help="sheaf cohomology dimensions")
-    p.add_argument("complex")
-    p.add_argument("sheaf")
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_sheaf_cohomology)
-
-    p = sub.add_parser("sheaf-check", help="consistency of a sheaf assignment")
-    p.add_argument("complex")
-    p.add_argument("sheaf")
-    p.add_argument("assignment")
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_sheaf_check)
-
-    p = sub.add_parser("spectra-compare", help="graph Laplacian spectra report")
-    p.add_argument("complex")
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_spectra_compare)
-
-    p = sub.add_parser("generate", help="emit a fixture complex as JSON")
+    command("decompose", _cmd_decompose, "Hodge decomposition of a signal",
+            "complex", "signal", "--dim", "--weights", "--tol")
+    command("filter", _cmd_filter, "apply a polynomial simplicial filter",
+            "complex", "signal", "filter")
+    command("sheaf-cohomology", _cmd_sheaf_cohomology, "sheaf cohomology dimensions",
+            "complex", "sheaf", "--tol")
+    command("sheaf-check", _cmd_sheaf_check, "consistency of a sheaf assignment",
+            "complex", "sheaf", "assignment", "--tol")
+    command("spectra-compare", _cmd_spectra_compare, "graph Laplacian spectra report",
+            "complex", "--tol")
+    p = command("generate", _cmd_generate, "emit a fixture complex as JSON")
     p.add_argument("kind", choices=_GENERATORS)
     p.add_argument("--n", type=int, default=None, help="size parameter")
     p.add_argument("--k", type=int, default=0, help="chord count (crosslinked-cycle)")
     p.add_argument("--p", type=float, default=0.3, help="edge probability (random-graph)")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_generate)
-
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     return parser
 
 
@@ -290,7 +216,16 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        inputs = []
+        if "complex" in args:
+            inputs.append(io.parse_complex(io.load_json(args.complex)))
+        if "signal" in args:
+            inputs.append(io.parse_signal(io.load_json(args.signal)))
+        if "sheaf" in args:
+            inputs.append(io.parse_sheaf(io.load_json(args.sheaf), inputs[0]))
+        result = args.func(args, *inputs)
+        (_emit if isinstance(result, str) else _emit_json)(result, args.output)
+        return 0
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -61,15 +61,12 @@ def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
     if m.field_tag is not Field.REAL:
         raise FieldMismatch("rank_real needs a real matrix")
     _check_tol(tol)
+    if m.nnz == 0:  # before densifying: a map with no entries may have a huge side
+        return RankProfile(0, m.cols, m.cols)
     a = m.toarray().astype(np.float64)
     rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return RankProfile(0, cols, cols)
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return RankProfile(0, cols, cols)
     if tol is None:
-        tol = 1e-9 * scale
+        tol = 1e-9 * np.max(np.abs(m.data))
     rank = 0
     for col in range(cols):
         pivot = rank + int(np.argmax(np.abs(a[rank:, col])))

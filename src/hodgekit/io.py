@@ -137,7 +137,10 @@ def _matrix(value: Any, what: str) -> np.ndarray:
     rows = _list(value, what)
     if not set(map(type, rows)) <= {list} or not _finite(list(chain.from_iterable(rows))):
         raise FormatError(f"{what} row must be a list of finite numbers")
-    return np.array(rows, dtype=np.float64)  # rows of different lengths raise ValueError
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:  # the numbers are finite, so only rows of different lengths get here
+        raise FormatError(f"{what} rows must all have the same length") from None
 
 
 def _stalk_key(key: str) -> tuple:

@@ -45,8 +45,8 @@ class Sheaf:
     stalk_dims gives every simplex of the complex an integer (not a bool)
     >= 0, each dimension's totalling below 2**63, else ValueError.
     restrictions maps (face, coface) pairs, as Simplex objects or vertex
-    labels, to arrays of shape (stalk(coface), stalk(face)) or that many
-    entries; empty blocks may be omitted, and a pair given twice keeps its
+    labels, to arrays of shape (stalk(coface), stalk(face)), or flat with that
+    many entries; empty blocks may be omitted, and a pair given twice keeps its
     last map.  Held as its cochain complex: per dimension n, the start
     offsets _offsets[n] of the n-simplices' stalks in canonical order, and
     the coboundary _delta[n], each built once here.
@@ -88,9 +88,13 @@ class Sheaf:
         c, matrices = self.complex, list(restrictions.values())
         faces, cofaces = zip(*restrictions) if restrictions else ((), ())
         (face_dim, f), (dim, j) = c._find(faces), c._find(cofaces)
-        given = [np.asarray(m, dtype=np.float64).ravel() for m in matrices]
-        size = np.fromiter(map(len, given), np.int64, len(given))
-        data, source = np.concatenate([np.zeros(0), *given]), np.cumsum(size) - size
+        given = [np.asarray(m, dtype=np.float64) for m in matrices]
+        size = np.fromiter((m.size for m in given), np.int64, len(given))
+        data = np.concatenate([np.zeros(0), *(m.ravel() for m in given)])
+        source = np.cumsum(size) - size
+        # (rows, cols) of each map with two axes; a flat map, (-1, -1), needs only its count.
+        shape = np.array([m.shape if m.ndim == 2 else (-1, -1) for m in given], np.int64)
+        shape = shape.reshape(-1, 2)
 
         def pair(k: int) -> str:
             return f"({c.simplices(face_dim[k])[f[k]]}, {c.simplices(dim[k])[j[k]]})"
@@ -108,11 +112,13 @@ class Sheaf:
                 raise ValueError(f"{pair(at[np.argmin(hit.any(axis=1))])} is not an incident pair")
             cell = j[at] * (n + 1) + hit.argmax(axis=1)
             sizes = (stalks[n][:, None] * stalks[n - 1][table]).ravel()
-            if (size[at] != sizes[cell]).any():
-                k = at[np.argmax(size[at] != sizes[cell])]
-                expected = (int(stalks[n][j[k]]), int(stalks[n - 1][f[k]]))
-                shape = np.shape(matrices[k])
-                raise ShapeMismatch(f"restriction {pair(k)} has shape {shape}, expected {expected}")
+            expected = np.stack([stalks[n][j[at]], stalks[n - 1][f[at]]], axis=1)
+            two_axes = shape[at, 0] >= 0
+            wrong = (size[at] != sizes[cell]) | (two_axes & (shape[at] != expected).any(axis=1))
+            if wrong.any():
+                k = at[np.argmax(wrong)]
+                got, want = given[k].shape, (int(stalks[n][j[k]]), int(stalks[n - 1][f[k]]))
+                raise ShapeMismatch(f"restriction {pair(k)} has shape {got}, expected {want}")
             missing = (sizes > 0) & ~np.isin(np.arange(len(sizes)), cell)
             if missing.any():
                 row, i = divmod(int(np.argmax(missing)), n + 1)

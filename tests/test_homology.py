@@ -84,6 +84,16 @@ def test_rank_real_examples():
     assert rank_real(boundary_matrix(two, 1, Field.REAL)).rank == 4
 
 
+def test_rank_real_of_a_map_with_no_entries_is_not_densified():
+    """A zero map answers from its shape, so a side past any array size is fine."""
+    huge = 2**62 + 2
+    for rows, cols in ((0, huge), (huge, 3), (huge, huge), (4, 0)):
+        profile = rank_real(SparseMatrix.zeros(rows, cols, Field.REAL))
+        assert profile == homology.RankProfile(0, cols, cols)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        rank_real(SparseMatrix.zeros(0, huge, Field.REAL), float("nan"))
+
+
 def test_rank_field_checks():
     with pytest.raises(FieldMismatch):
         rank_gf2(SparseMatrix.identity(2, Field.REAL))

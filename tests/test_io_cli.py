@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import argparse
 import contextlib
 import io as stdio
 import json
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import hodgekit
 from hodgekit import Field, Simplex, SparseMatrix, betti, check_consistency
 from hodgekit import generators, io
-from hodgekit.cli import main
+from hodgekit.cli import build_parser, main
 from hodgekit.errors import FormatError
 from hodgekit.hodge import InnerProductWeights
 
@@ -436,6 +437,60 @@ def test_cli_rejects_bad_tolerance(triangle_file, tmp_path, capsys, tol):
         assert captured.out == "" and "--tol" in captured.err
 
 
+def test_every_subcommand_writes_the_same_bytes_to_a_file_as_to_stdout(
+    triangle_file, tmp_path, capsys
+):
+    """main writes each command's result once, to stdout or to -o FILE."""
+    complex_file, sheaf_file = shift_register_files(tmp_path)
+    signal = write_json(tmp_path / "s.json", {"dim": 1, "values": [1.0, -2.0, 0.5]})
+    weights = write_json(tmp_path / "w.json", {"1": [2.0, 1.0, 1.0]})
+    spec = write_json(tmp_path / "f.json", {"dim": 1, "alpha0": 0.5, "down": [0.1], "up": []})
+    blocks = write_json(tmp_path / "x.json", {"dim": 0, "blocks": [[1, 2, 3], [2, 3, 4], [3, 4, 5]]})
+    requests = {
+        "betti": ["betti", triangle_file],
+        "laplacian": ["laplacian", triangle_file, "--dim", "1", "--weights", weights],
+        "spectrum": ["spectrum", triangle_file, "--dim", "0"],
+        "sft": ["sft", triangle_file, signal, "--dim", "1"],
+        "decompose": ["decompose", triangle_file, signal, "--dim", "1", "--weights", weights],
+        "filter": ["filter", triangle_file, signal, spec],
+        "sheaf-cohomology": ["sheaf-cohomology", complex_file, sheaf_file],
+        "sheaf-check": ["sheaf-check", complex_file, sheaf_file, blocks],
+        "spectra-compare": ["spectra-compare", triangle_file],
+        "generate": ["generate", "crosslinked-cycle", "--n", "6", "--k", "1"],
+    }
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(requests) == sorted(commands.choices)
+    for name, argv in requests.items():
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        target = tmp_path / f"{name}.out"
+        assert main([*argv, "-o", str(target)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert target.read_bytes() == stdout, name
+
+
+def test_cli_reports_the_first_bad_input_in_load_order(tmp_path, capsys):
+    """The complex loads first, then the signal or sheaf, then other files, then --tol."""
+    complex_file, sheaf_file = shift_register_files(tmp_path)
+    empty = write_json(tmp_path / "empty.json", {})
+    missing = str(tmp_path / "missing.json")
+    for argv, first in (
+        (["decompose", complex_file, empty, "--dim", "1", "--weights", missing], "signal file"),
+        (["sheaf-check", complex_file, empty, missing], "sheaf file"),
+        (["spectra-compare", empty, "--tol=nan"], "complex file"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {first} is missing fields"), argv
+
+
+def test_cli_zero_edge_stalks_beside_a_huge_vertex_stalk(tmp_path, capsys):
+    complex_file, _ = shift_register_files(tmp_path)
+    stalks = {"[0]": 2**62, "[1]": 1, "[2]": 1, "[0,1]": 0, "[1,2]": 0}
+    sheaf_file = write_json(tmp_path / "huge.json", {"stalks": stalks, "restrictions": []})
+    assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 0
+    assert capsys.readouterr().out == '{"cohomology_dims": [4611686018427387906, 0]}\n'
+
+
 def test_vertex_labels_past_int64(tmp_path, capsys):
     big = 2**64
     path = write_json(tmp_path / "big.json", {"top_simplices": [[0, 1, big], [1, big, 7], [0, 7]]})
@@ -617,6 +672,7 @@ SHEAF_FILE_ERRORS = {
     "integer past float range": _bad_matrix([[10**400, 1, 0], [0, 0, 1]]),
     "integer just past float range": _bad_matrix([[int(FLOAT_MAX) + 1, 1, 0], [0, 0, 1]]),
     "ragged rows": _bad_matrix([[0.0, 1.0, 0.0], [0.0, 1.0]]),
+    "transposed block": _bad_matrix(LEFT_SHIFT.T.tolist()),
     "row not a list": _bad_matrix([[0.0, 1.0, 0.0], 1.0]),
     "matrix not a list": _bad_matrix("identity"),
     "wrong block shape": _bad_matrix([[0.0, 1.0, 0.0]]),
@@ -659,6 +715,11 @@ SHEAF_FILE_ERRORS = {
     "restrictions not a list": _set(["restrictions"], {}),
     "stalks not an object": _set(["stalks"], []),
 }
+# Text that a case's error must contain, for the cases that pin it.
+SHEAF_FILE_MESSAGES = {
+    "ragged rows": "restrictions[0].matrix rows must all have the same length",
+    "transposed block": "(Simplex(0,), Simplex(0, 1)) has shape (3, 2), expected (2, 3)",
+}
 
 
 @pytest.mark.parametrize("case", sorted(SHEAF_FILE_ERRORS))
@@ -670,6 +731,7 @@ def test_cli_sheaf_file_errors_exit_2(tmp_path, capsys, case):
     assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    assert SHEAF_FILE_MESSAGES.get(case, "") in captured.err
 
 
 def test_sheaf_keys_spelled_twice_keep_the_last(tmp_path):

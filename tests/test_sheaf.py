@@ -225,6 +225,25 @@ def test_sheaf_validation_errors():
         )
 
 
+def test_restriction_maps_with_two_axes_must_have_the_pairs_shape():
+    line = build_complex([[0, 1]])
+    stalks = {(0,): 3, (1,): 3, (0, 1): 2}
+    right = np.arange(6.0).reshape(2, 3)
+    for wrong in (right.T, right.reshape(1, 6)):
+        with pytest.raises(ShapeMismatch) as err:
+            Sheaf(line, stalks, {((0,), (0, 1)): wrong, ((1,), (0, 1)): right})
+        assert str(err.value).endswith(f"has shape {wrong.shape}, expected (2, 3)")
+    # A flat map with the pair's entry count is read row-major.
+    sh = Sheaf(line, stalks, {((0,), (0, 1)): right.ravel(), ((1,), (0, 1)): right})
+    assert np.array_equal(sh.restriction(Simplex((0,)), Simplex((0, 1))), right)
+
+
+def test_zero_edge_stalks_beside_a_huge_vertex_stalk_need_no_dense_array():
+    line = build_complex([[0, 1], [1, 2]])
+    stalks = {(0,): 2**62, (1,): 1, (2,): 1, (0, 1): 0, (1, 2): 0}
+    assert sheaf_cohomology_dims(line, Sheaf(line, stalks, {})) == [2**62 + 2, 0]
+
+
 def test_stalk_dimensions_are_integers_whose_totals_fit_int64():
     line = build_complex([[0, 1]])
     for bad in (True, np.int64(-1), -1, 1.0, np.bool_(True), 2**63, 10**30, np.uint64(2**63)):
