@@ -83,15 +83,21 @@ class SparseMatrix:
         if outside.any():
             r, c = row[outside][0], col[outside][0]
             raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
-        key, slot = np.unique(row * cols + col, return_inverse=True)
-        sums = np.bincount(slot, np.asarray(data, dtype=np.float64), len(key))
+        if int(rows) * int(cols) < 2**63:
+            key, slot = np.unique(row * cols + col, return_inverse=True)
+            r, c = np.divmod(key, max(cols, 1))
+        else:  # row * cols + col would wrap around int64: sort the (row, col) pairs instead
+            pairs, slot = np.unique(np.stack([row, col], axis=1), axis=0, return_inverse=True)
+            r, c = pairs.T
+        sums = np.bincount(slot.ravel(), np.asarray(data, dtype=np.float64), len(r))
         finite = np.isfinite(sums)
         if not finite.all():
-            raise ValueError(f"non-finite entry at {divmod(int(key[~finite][0]), cols)}")
+            k = np.argmin(finite)
+            raise ValueError(f"non-finite entry at {(int(r[k]), int(c[k]))}")
         if field_tag is Field.GF2:
             sums = sums.astype(np.int64) % 2
         keep = ~(np.abs(sums) <= REAL_ZERO_TOL)
-        r, c = np.divmod(key[keep], max(cols, 1))
+        r, c = r[keep], c[keep]
         data_out = sums[keep].astype(np.uint8 if field_tag is Field.GF2 else np.float64)
         for a in (r, c, data_out):
             a.flags.writeable = False

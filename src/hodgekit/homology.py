@@ -56,19 +56,19 @@ def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
 
     A pivot counts while its magnitude exceeds tol; the default tol is
     1e-9 times the largest absolute entry of the input.  A NaN, infinite
-    or negative tol raises ValueError.
+    or negative tol raises ValueError.  Only the columns with an entry and
+    the rows up to the last entry are eliminated: the others never pivot.
     """
     if m.field_tag is not Field.REAL:
         raise FieldMismatch("rank_real needs a real matrix")
     _check_tol(tol)
-    if m.nnz == 0:  # before densifying: a map with no entries may have a huge side
-        return RankProfile(0, m.cols, m.cols)
-    a = m.toarray().astype(np.float64)
-    rows, cols = a.shape
+    used, at = np.unique(m.col, return_inverse=True)
+    a = np.zeros((m.row.max(initial=-1) + 1, len(used)))
+    a[m.row, at] = m.data
     if tol is None:
-        tol = 1e-9 * np.max(np.abs(m.data))
+        tol = 1e-9 * np.max(np.abs(m.data), initial=0.0)
     rank = 0
-    for col in range(cols):
+    for col in range(len(used)):
         pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
         if abs(a[pivot, col]) <= tol:
             continue
@@ -78,9 +78,9 @@ def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
         factors = a[below, col] / a[rank, col]
         a[below, col:] -= np.outer(factors, a[rank, col:])
         rank += 1
-        if rank == rows:
+        if rank == len(a):
             break
-    return RankProfile(rank, cols - rank, cols)
+    return RankProfile(rank, m.cols - rank, m.cols)
 
 
 RowOp = tuple[str, int, int]
@@ -129,7 +129,7 @@ def replay_gf2_ops(
     m: SparseMatrix, row_ops: list[RowOp], col_ops: list[RowOp]
 ) -> np.ndarray:
     """Apply logged row then column operations to a copy of m (dense)."""
-    a = m.toarray().copy()
+    a = m.toarray()
     for kind, i, j in row_ops:
         if kind == "swap":
             a[[i, j]] = a[[j, i]]
@@ -229,7 +229,13 @@ def betti(c: SimplicialComplex, field_tag: Field = Field.GF2) -> list[int]:
     maps = [boundary_matrix(c, n, field_tag) for n in range(2, c.max_dim + 1)]
     # d_0 and the map above the top are zero; rank d_1 = |V| - #components.
     ranks = [0, c.n_simplices(0) - connected_components(c), *_ranks(maps, field_tag), 0]
-    return [c.n_simplices(n) - ranks[n] - ranks[n + 1] for n in range(c.max_dim + 1)]
+    return _dims([c.n_simplices(n) for n in range(c.max_dim + 1)], ranks)
+
+
+def _dims(sizes: list[int], ranks: list[int]) -> list[int]:
+    """Kernel minus image: sizes[n] - ranks[n] - ranks[n+1], where ranks[n] is the rank
+    of the map between dimensions n-1 and n; ranks[0] and the map past the top are 0."""
+    return [size - ranks[n] - ranks[n + 1] for n, size in enumerate(sizes)]
 
 
 def connected_components(c: SimplicialComplex) -> int:

@@ -27,7 +27,7 @@ from .errors import (
     UnknownSimplex,
 )
 from .hodge import HodgeOperators, InnerProductWeights, _adjoint, _assemble
-from .homology import _check_tol, rank_real
+from .homology import _check_tol, _dims, rank_real
 
 if TYPE_CHECKING:
     from .complex import SimplicialComplex
@@ -202,7 +202,10 @@ def sheaf_coboundary(c: SimplicialComplex, sh: Sheaf, n: int) -> SparseMatrix:
     pair's entry of the real boundary map d_(n+1), the signed incidence
     number (-1)**i of the face's slot i; this is the unique sign choice
     consistent with the two-step coboundary vanishing in every dimension.
+    Raises ShapeMismatch unless c is the sheaf's own complex.
     """
+    if c is not sh.complex:
+        raise ShapeMismatch("the sheaf is over another complex")
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
     return sh._delta[n]
@@ -231,13 +234,8 @@ def sheaf_cohomology_dims(
     c: SimplicialComplex, sh: Sheaf, tol: float | None = None
 ) -> list[int]:
     """Cohomology dimensions: kernel of one coboundary minus image of the last."""
-    dims = []
-    prev_rank = 0
-    for n in range(c.max_dim + 1):
-        profile = rank_real(sheaf_coboundary(c, sh, n), tol)
-        dims.append(profile.nullity - prev_rank)
-        prev_rank = profile.rank
-    return dims
+    ranks = [rank_real(sheaf_coboundary(c, sh, n), tol).rank for n in range(c.max_dim + 1)]
+    return _dims([sh.total_dim(n) for n in range(c.max_dim + 1)], [0, *ranks])
 
 
 def sheaf_laplacian(
@@ -255,6 +253,7 @@ def sheaf_laplacian(
     weights this is exactly the simplicial Hodge Laplacian; with weights W
     it is the transpose of hodge_laplacian(c, n, W^(-1)).
     """
+    sheaf_coboundary(c, sh, 0)  # the complex check, also when no coboundary is read below
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
     w = w or InnerProductWeights.ones()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chains import Cochain, Field, SparseMatrix, coboundary_matrix, compose, transpose
 from .errors import FieldMismatch, NotAGraph, NotSymmetric, ShapeMismatch
-from .homology import _check_tol, betti
+from .homology import _check_tol
 
 if TYPE_CHECKING:
     from .complex import SimplicialComplex
@@ -138,7 +138,6 @@ def compare_spectra(c: SimplicialComplex, tol: float | None = None) -> SpectraRe
     nz0 = tuple(float(v) for v in ev0 if v > zero_thr)
     nz1 = tuple(float(v) for v in ev1 if v > zero_thr)
     agree = len(nz0) == len(nz1) and all(abs(a - b) <= match_tol for a, b in zip(nz0, nz1))
-    b = betti(c, Field.GF2)
-    b0_minus_b1 = b[0] - (b[1] if len(b) > 1 else 0)
     zero_mult_diff = (len(ev0) - len(nz0)) - (len(ev1) - len(nz1))
-    return SpectraReport(nz0, nz1, agree, zero_mult_diff, b0_minus_b1)
+    # b0 - b1 = V - E on a graph (Euler-Poincare).
+    return SpectraReport(nz0, nz1, agree, zero_mult_diff, c.n_simplices(0) - c.n_simplices(1))

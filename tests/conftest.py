@@ -2,12 +2,31 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hodgekit import Simplex, SimplicialComplex, build_complex
 from hodgekit import generators as gen
 from hodgekit.sheaf import Sheaf
+
+
+def fraction_rank(matrix) -> int:
+    """Exact rational rank of an integer matrix, by Gaussian elimination over Fractions."""
+    a = np.asarray(matrix, dtype=int)
+    rows = [[Fraction(int(v)) for v in row] for row in a]
+    rank = 0
+    for col in range(a.shape[1]):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def tetra_boundary_tops() -> list[list[int]]:

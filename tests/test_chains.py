@@ -214,6 +214,20 @@ def test_non_finite_entries_rejected():
         SparseMatrix.from_entries(1, 1, [(0, 0, inf), (0, 0, -inf)], Field.REAL)
 
 
+def test_positions_past_2_63_cells_keep_their_place():
+    """Past 2**63 cells row * cols + col would wrap around int64; positions still
+    sort by (row, col), repeats still sum, and a non-finite sum names its place."""
+    huge = 2**62 + 3
+    row, col = [1, 0, 1, 1], [huge - 1, 5, 0, huge - 1]
+    m = SparseMatrix.from_coo(2, huge, row, col, [1.0, 2.0, 3.0, 4.0], Field.REAL)
+    assert (m.row.tolist(), m.col.tolist()) == ([0, 1, 1], [5, 0, huge - 1])
+    assert m.data.tolist() == [2.0, 3.0, 5.0]
+    g = SparseMatrix.from_coo(huge, 2, [huge - 1, huge - 1, 0], [1, 1, 0], [1, 1, 1], Field.GF2)
+    assert (g.row.tolist(), g.col.tolist(), g.data.tolist()) == ([0], [0], [1])
+    with pytest.raises(ValueError, match=rf"^non-finite entry at \(1, {huge - 1}\)$"):
+        SparseMatrix.from_coo(2, huge, [0, 1], [5, huge - 1], [1.0, float("nan")], Field.REAL)
+
+
 def dense_accumulation(shape, triplets, field_tag):
     out = np.zeros(shape)
     for r, c, v in triplets:

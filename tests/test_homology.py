@@ -2,7 +2,6 @@
 
 import itertools
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +34,14 @@ from hodgekit.cli import main
 from hodgekit.errors import FieldMismatch
 from hodgekit.sheaf import Assignment, check_consistency
 
-from conftest import CORPUS, CORPUS_TOPS, TORSION, random_clique_complex, random_complex
+from conftest import (
+    CORPUS,
+    CORPUS_TOPS,
+    TORSION,
+    fraction_rank,
+    random_clique_complex,
+    random_complex,
+)
 
 TRIANGLE = build_complex([[0, 1, 2]])
 
@@ -92,6 +98,11 @@ def test_rank_real_of_a_map_with_no_entries_is_not_densified():
         assert profile == homology.RankProfile(0, cols, cols)
     with pytest.raises(ValueError, match="tol must be finite"):
         rank_real(SparseMatrix.zeros(0, huge, Field.REAL), float("nan"))
+    # Entries beside a huge side: only the columns with an entry, and the rows up to the last.
+    wide = SparseMatrix.from_coo(1, huge, [0, 0], [5, huge - 1], [2.0, -3.0], Field.REAL)
+    assert rank_real(wide) == homology.RankProfile(1, huge - 1, huge)
+    tall = SparseMatrix.from_coo(huge, 3, [0, 0, 1, 1], [0, 2, 1, 2], [1.0, 2, 3, 4], Field.REAL)
+    assert rank_real(tall) == homology.RankProfile(2, 1, 3)
 
 
 def test_rank_field_checks():
@@ -301,6 +312,8 @@ def real_matrices(draw):
     One of: a product of thin random factors (rank below the shape allows);
     a few random rows repeated and negated; or one large entry among entries
     just above and just below the default pivot tolerance 1e-9 * max|a|.
+    Half of them get all-zero rows and columns inserted at random positions,
+    interior or trailing, which rank_real leaves out of its working block.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows, cols = draw(SHAPES)
@@ -316,6 +329,10 @@ def real_matrices(draw):
         near = 1e-9 * scale * rng.choice([1 - 1e-6, 1 + 1e-6], size=(rows, cols))
         a = np.where(rng.random((rows, cols)) < 0.5, near * rng.choice([-1, 1], (rows, cols)), 0.0)
         a[rng.integers(rows), rng.integers(cols)] = scale
+    if draw(st.booleans()):
+        for axis in (0, 1):
+            at = rng.integers(0, a.shape[axis] + 1, size=draw(st.integers(1, 3)))
+            a = np.insert(a, at, 0.0, axis=axis)
     return SparseMatrix.from_dense(a, Field.REAL)
 
 
@@ -359,22 +376,6 @@ def integer_matrices(draw):
         picks = rng.integers(0, draw(st.integers(1, rows)), rows)
         a = rng.choice([-1, 1], size=(rows, 1)) * a[picks]
     return a, SparseMatrix.from_dense(a.astype(np.float64), Field.REAL)
-
-
-def fraction_rank(a: np.ndarray) -> int:
-    """Exact rational rank by Gaussian elimination over Fractions."""
-    rows = [[Fraction(int(v)) for v in row] for row in a]
-    rank = 0
-    for col in range(a.shape[1]):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col] / rows[rank][col]
-            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 @settings(max_examples=150, deadline=None)

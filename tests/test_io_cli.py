@@ -489,6 +489,11 @@ def test_cli_zero_edge_stalks_beside_a_huge_vertex_stalk(tmp_path, capsys):
     sheaf_file = write_json(tmp_path / "huge.json", {"stalks": stalks, "restrictions": []})
     assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 0
     assert capsys.readouterr().out == '{"cohomology_dims": [4611686018427387906, 0]}\n'
+    stalks["[1,2]"] = 1
+    maps = [{"face": [v], "coface": [1, 2], "matrix": [[1]]} for v in (1, 2)]
+    sheaf_file = write_json(tmp_path / "huge_maps.json", {"stalks": stalks, "restrictions": maps})
+    assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 0
+    assert capsys.readouterr().out == '{"cohomology_dims": [4611686018427387905, 0]}\n'
 
 
 def test_vertex_labels_past_int64(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Sheaves: validation, coboundaries, consistency, cohomology, Laplacians."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +39,7 @@ from hodgekit.spectral import eigendecompose
 from conftest import (
     CORPUS,
     CORPUS_TOPS,
+    fraction_rank,
     gauge_sheaf,
     random_clique_complex,
     shift_register_sheaf,
@@ -58,25 +57,6 @@ DISPLAY_DELTA0 = np.array(
     ],
     dtype=float,
 )
-
-
-def exact_rank(matrix) -> int:
-    """Independent rank oracle: exact elimination over the rationals."""
-    m = [[Fraction(v) for v in row] for row in np.asarray(matrix, dtype=int)]
-    if not m:
-        return 0
-    rank = 0
-    for col in range(len(m[0])):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col] / m[rank][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 def test_shift_register_coboundary_matches_display_block_signs():
@@ -115,7 +95,7 @@ def test_vacuously_consistent_on_top_dimension():
 def test_shift_register_cohomology_dims():
     line, sh = shift_register_sheaf()
     dims = sheaf_cohomology_dims(line, sh)
-    rank = exact_rank(DISPLAY_DELTA0)
+    rank = fraction_rank(DISPLAY_DELTA0)
     assert rank == 4
     assert dims == [9 - rank, 0]
     assert dims[0] == 5
@@ -242,6 +222,43 @@ def test_zero_edge_stalks_beside_a_huge_vertex_stalk_need_no_dense_array():
     line = build_complex([[0, 1], [1, 2]])
     stalks = {(0,): 2**62, (1,): 1, (2,): 1, (0, 1): 0, (1, 2): 0}
     assert sheaf_cohomology_dims(line, Sheaf(line, stalks, {})) == [2**62 + 2, 0]
+    # delta_0 is 1 x (2**62 + 2) with two entries: its empty columns add only nullity.
+    stalks[(1, 2)] = 1
+    sh = Sheaf(line, stalks, {((1,), (1, 2)): [[1]], ((2,), (1, 2)): [[1]]})
+    assert sheaf_cohomology_dims(line, sh) == [2**62 + 1, 0]
+    # delta_0 of this path is 2 x (2**62 + 3): its second row's entries lie past 2**63 cells.
+    path = build_complex([[0, 1], [1, 2], [2, 3]])
+    stalks = {(0,): 2**62, (1,): 1, (2,): 1, (3,): 1, (0, 1): 0, (1, 2): 1, (2, 3): 1}
+    maps = {((v,), edge): [[1]] for edge in ((1, 2), (2, 3)) for v in edge}
+    assert sheaf_cohomology_dims(path, Sheaf(path, stalks, maps)) == [2**62 + 1, 0]
+
+
+SHEAF_CALLS = {
+    "sheaf_coboundary": lambda c, sh: sheaf_coboundary(c, sh, 0),
+    "sheaf_cohomology_dims": sheaf_cohomology_dims,
+    "check_consistency": lambda c, s: check_consistency(c, s, Assignment(0, [0.0] * s.total_dim(0))),
+    "sheaf_laplacian": lambda c, sh: sheaf_laplacian(c, sh, 0),
+}
+
+
+@pytest.mark.parametrize("call", SHEAF_CALLS)
+def test_sheaf_functions_reject_another_complex(call):
+    """Only the sheaf's own complex: a longer path, a filled triangle and an equal
+    rebuilt copy are all another complex, as is a second vertex beside a vertex sheaf."""
+    line, sh = shift_register_sheaf()
+    vertex = build_complex([[0]])
+    point = Sheaf(vertex, {(0,): 2}, {})
+    others = [
+        (build_complex([[0, 1], [1, 2], [2, 3]]), sh),
+        (build_complex([[0, 1, 2]]), sh),
+        (build_complex([[0, 1], [1, 2]]), sh),
+        (build_complex([[0]]), point),
+    ]
+    for c, sheaf_ in others:
+        with pytest.raises(ShapeMismatch, match="^the sheaf is over another complex$"):
+            SHEAF_CALLS[call](c, sheaf_)
+    SHEAF_CALLS[call](line, sh)
+    SHEAF_CALLS[call](vertex, point)
 
 
 def test_stalk_dimensions_are_integers_whose_totals_fit_int64():
