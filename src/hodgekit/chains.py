@@ -83,17 +83,17 @@ class SparseMatrix:
         if outside.any():
             r, c = row[outside][0], col[outside][0]
             raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
-        if int(rows) * int(cols) < 2**63:
-            key, slot = np.unique(row * cols + col, return_inverse=True)
-            r, c = np.divmod(key, max(cols, 1))
-        else:  # row * cols + col would wrap around int64: sort the (row, col) pairs instead
-            pairs, slot = np.unique(np.stack([row, col], axis=1), axis=0, return_inverse=True)
-            r, c = pairs.T
-        sums = np.bincount(slot.ravel(), np.asarray(data, dtype=np.float64), len(r))
+        order = np.lexsort((col, row))  # by (row, col)
+        r, c = row[order], col[order]
+        first = np.ones(len(r), bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        slot = np.empty_like(order)
+        slot[order] = np.cumsum(first) - 1
+        r, c = r[first], c[first]
+        sums = np.bincount(slot, np.asarray(data, dtype=np.float64), len(r))
         finite = np.isfinite(sums)
         if not finite.all():
-            k = np.argmin(finite)
-            raise ValueError(f"non-finite entry at {(int(r[k]), int(c[k]))}")
+            raise ValueError(f"non-finite entry at {(int(r[~finite][0]), int(c[~finite][0]))}")
         if field_tag is Field.GF2:
             sums = sums.astype(np.int64) % 2
         keep = ~(np.abs(sums) <= REAL_ZERO_TOL)

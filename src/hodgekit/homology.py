@@ -62,9 +62,8 @@ def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
     if m.field_tag is not Field.REAL:
         raise FieldMismatch("rank_real needs a real matrix")
     _check_tol(tol)
-    used, at = np.unique(m.col, return_inverse=True)
-    a = np.zeros((m.row.max(initial=-1) + 1, len(used)))
-    a[m.row, at] = m.data
+    used, at = np.unique(m.col, return_inverse=True)  # (row, at) keeps m's sorted order
+    a = SparseMatrix(int(m.row.max(initial=-1)) + 1, len(used), m.row, at, m.data, Field.REAL).toarray()
     if tol is None:
         tol = 1e-9 * np.max(np.abs(m.data), initial=0.0)
     rank = 0
@@ -227,15 +226,16 @@ def betti(c: SimplicialComplex, field_tag: Field = Field.GF2) -> list[int]:
     divides a torsion coefficient of the integral homology.
     """
     maps = [boundary_matrix(c, n, field_tag) for n in range(2, c.max_dim + 1)]
-    # d_0 and the map above the top are zero; rank d_1 = |V| - #components.
-    ranks = [0, c.n_simplices(0) - connected_components(c), *_ranks(maps, field_tag), 0]
+    # rank d_1 = |V| - #components.
+    ranks = [c.n_simplices(0) - connected_components(c), *_ranks(maps, field_tag)]
     return _dims([c.n_simplices(n) for n in range(c.max_dim + 1)], ranks)
 
 
 def _dims(sizes: list[int], ranks: list[int]) -> list[int]:
-    """Kernel minus image: sizes[n] - ranks[n] - ranks[n+1], where ranks[n] is the rank
-    of the map between dimensions n-1 and n; ranks[0] and the map past the top are 0."""
-    return [size - ranks[n] - ranks[n + 1] for n, size in enumerate(sizes)]
+    """Kernel minus image: sizes[n] - r_n - r_(n+1), where ranks[n] is r_(n+1), the rank
+    of the map between dimensions n and n+1; the maps past either end are zero."""
+    r = [0, *ranks, 0]
+    return [size - r[n] - r[n + 1] for n, size in enumerate(sizes)]
 
 
 def connected_components(c: SimplicialComplex) -> int:

@@ -204,11 +204,15 @@ def sheaf_coboundary(c: SimplicialComplex, sh: Sheaf, n: int) -> SparseMatrix:
     consistent with the two-step coboundary vanishing in every dimension.
     Raises ShapeMismatch unless c is the sheaf's own complex.
     """
-    if c is not sh.complex:
-        raise ShapeMismatch("the sheaf is over another complex")
+    _check_complex(c, sh)
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
     return sh._delta[n]
+
+
+def _check_complex(c: SimplicialComplex, sh: Sheaf) -> None:
+    if c is not sh.complex:
+        raise ShapeMismatch("the sheaf is over another complex")
 
 
 def check_consistency(
@@ -234,8 +238,10 @@ def sheaf_cohomology_dims(
     c: SimplicialComplex, sh: Sheaf, tol: float | None = None
 ) -> list[int]:
     """Cohomology dimensions: kernel of one coboundary minus image of the last."""
-    ranks = [rank_real(sheaf_coboundary(c, sh, n), tol).rank for n in range(c.max_dim + 1)]
-    return _dims([sh.total_dim(n) for n in range(c.max_dim + 1)], [0, *ranks])
+    _check_complex(c, sh)
+    _check_tol(tol)
+    ranks = [rank_real(sheaf_coboundary(c, sh, n), tol).rank for n in range(c.max_dim)]
+    return _dims([sh.total_dim(n) for n in range(c.max_dim + 1)], ranks)
 
 
 def sheaf_laplacian(
@@ -253,7 +259,7 @@ def sheaf_laplacian(
     weights this is exactly the simplicial Hodge Laplacian; with weights W
     it is the transpose of hodge_laplacian(c, n, W^(-1)).
     """
-    sheaf_coboundary(c, sh, 0)  # the complex check, also when no coboundary is read below
+    _check_complex(c, sh)
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
     w = w or InnerProductWeights.ones()
