@@ -214,9 +214,8 @@ def compose(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         )
     if a.cols != b.rows:
         raise ShapeMismatch(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    starts = np.searchsorted(b.row, np.arange(b.rows + 1))
-    lo = starts[a.col]
-    i, offset = _runs(starts[a.col + 1] - lo)
+    lo, hi = np.searchsorted(b.row, a.col), np.searchsorted(b.row, a.col, side="right")
+    i, offset = _runs(hi - lo)
     k = lo[i] + offset
     return SparseMatrix.from_coo(
         a.rows, b.cols, a.row[i], b.col[k], a.data[i] * b.data[k], a.field_tag

@@ -10,7 +10,8 @@ rational answers.  The argument parser is built once, at import.
 There is one path from argv to output: `main` loads the complex and then the
 signal or sheaf that follows it, each `_cmd_*` reads any further files and
 returns its result (CSV text, or an object written as JSON), and `main`
-writes that result once.  `betti --dump-matrix` writes its CSV files itself.
+writes that result once.  `betti --dump-matrix` writes its CSV files through
+the same writer.
 """
 
 from __future__ import annotations
@@ -67,10 +68,8 @@ def _cmd_betti(args, c):
     values = betti(c, field)
     if args.dump_matrix:
         for n in range(1, c.max_dim + 1):
-            m = boundary_matrix(c, n, field)
-            csv_text = io.matrix_to_csv(m, _labels(c, n - 1), _labels(c, n))
-            with open(f"{args.dump_matrix}boundary_{n}.csv", "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
+            csv_text = io.matrix_to_csv(boundary_matrix(c, n, field), _labels(c, n - 1), _labels(c, n))
+            _emit(csv_text, f"{args.dump_matrix}boundary_{n}.csv")
     return {"betti": values}
 
 

@@ -193,8 +193,6 @@ def harmonic_basis(ops: HodgeOperators, tol: float | None = None) -> list[Cochai
     eigenvalue.  Orthonormality is for the weighted inner product.
     """
     _check_tol(tol)
-    if ops.size == 0:
-        return []
     basis = eigendecompose(symmetrized(ops), dimension=ops.dimension)
     threshold = tol if tol is not None else HARMONIC_RTOL * basis.lambda_max
     inv_sqrt_w = 1.0 / np.sqrt(ops.weight_vector)

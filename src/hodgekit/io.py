@@ -143,35 +143,31 @@ def _matrix(value: Any, what: str) -> np.ndarray:
         raise FormatError(f"{what} rows must all have the same length") from None
 
 
-def _stalk_key(key: str) -> tuple:
+def _stalk_key(key: str) -> list:
     try:
-        return tuple(_list(json.loads(key), f"stalk key {key!r}"))
+        return _list(json.loads(key), f"stalk key {key!r}")
     except (json.JSONDecodeError, RecursionError):  # nested too deep for the decoder
         raise FormatError(f"stalk key {key!r} is not a JSON vertex list") from None
+
+
+class _Pairs(list):  # values() as a Mapping's: perfbench/tracer.py sizes a Sheaf by them
+    def values(self) -> list:
+        return [value for _, value in self]
 
 
 def parse_sheaf(obj: Any, c: SimplicialComplex) -> Sheaf:
     _require_keys(obj, {"stalks", "restrictions"}, "sheaf file")
     if not isinstance(obj["stalks"], dict):
         raise FormatError('"stalks" must be an object')
-    stalks = [(_stalk_key(key), dim) for key, dim in obj["stalks"].items()]
+    stalks = _Pairs((_stalk_key(key), dim) for key, dim in obj["stalks"].items())
     maps = []
     for i, entry in enumerate(_list(obj["restrictions"], '"restrictions"')):
         _require_keys(entry, {"face", "coface", "matrix"}, f"restrictions[{i}]")
-        face = tuple(_list(entry["face"], f"restrictions[{i}].face"))
-        coface = tuple(_list(entry["coface"], f"restrictions[{i}].coface"))
+        face = _list(entry["face"], f"restrictions[{i}].face")
+        coface = _list(entry["coface"], f"restrictions[{i}].coface")
         maps.append(((face, coface), _matrix(entry["matrix"], f"restrictions[{i}].matrix")))
-    try:
-        stalk_dims, restrictions = dict(stalks), dict(maps)
-    except TypeError:  # a label that is a list or an object
-        stalk_dims = restrictions = {}
-    if len(stalk_dims) + len(restrictions) < len(stalks) + len(maps):
-        # Keys were unhashable or merged, as (True,) and (1,) do: the complex names a bad label.
-        c._find([key for key, _ in stalks] + [key for pair, _ in maps for key in pair])
-    try:
-        return Sheaf(c, stalk_dims, restrictions)
-    except HodgekitError:
-        raise
+    try:  # Sheaf checks labels, stalks and maps, and keeps the last of repeats
+        return Sheaf(c, stalks, maps)
     except ValueError as exc:
         raise FormatError(f"invalid sheaf: {exc}") from exc
 

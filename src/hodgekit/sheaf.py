@@ -12,7 +12,8 @@ the simplicial operators exactly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from collections.abc import Iterable, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,33 +43,31 @@ Assignment = Cochain
 class Sheaf:
     """Validated sheaf over a simplicial complex.
 
-    stalk_dims gives every simplex of the complex an integer (not a bool)
-    >= 0, each dimension's totalling below 2**63, else ValueError.
-    restrictions maps (face, coface) pairs, as Simplex objects or vertex
-    labels, to arrays of shape (stalk(coface), stalk(face)), or flat with that
-    many entries; empty blocks may be omitted, and a pair given twice keeps its
-    last map.  Held as its cochain complex: per dimension n, the start
-    offsets _offsets[n] of the n-simplices' stalks in canonical order, and
-    the coboundary _delta[n], each built once here.
+    stalk_dims and restrictions are Mappings or lists of (key, value) pairs.
+    Each simplex (a Simplex or vertex labels) gets an integer (not a bool)
+    >= 0, each dimension's totalling below 2**63, else ValueError; each
+    (face, coface) pair with two nonzero stalks an array of shape
+    (stalk(coface), stalk(face)), or flat with that many entries.  Every value
+    is checked, then a simplex or pair given twice keeps its last.  Held as
+    its cochain complex: per dimension n, the start offsets _offsets[n] of the
+    n-simplices' stalks in canonical order, and the coboundary _delta[n].
     """
 
-    def __init__(
-        self,
-        c: SimplicialComplex,
-        stalk_dims: Mapping[Simplex | Iterable[int], int],
-        restrictions: Mapping[tuple, "np.ndarray | list"],
-    ):
+    def __init__(self, c: SimplicialComplex, stalk_dims: Mapping | Iterable[tuple],
+                 restrictions: Mapping | Iterable[tuple]):
         self.complex = c
-        dim, pos = c._find(list(stalk_dims))
-        given = list(stalk_dims.values())
+        keys, given = _pairs(stalk_dims)
+        dim, pos = c._find(keys)
         bad = [k for k, d in enumerate(given) if type(d) is bool
                or not isinstance(d, (int, np.integer)) or not 0 <= int(d) < 2**63]
         if bad:
             s = c.simplices(dim[bad[0]])[pos[bad[0]]]
             raise ValueError(f"stalk dimension for {s} must be a non-negative integer below 2**63")
+        keep = _last(pos * (c.max_dim + 1) + dim)  # the last stalk given for each simplex
+        dim, pos, given = dim[keep], pos[keep], np.array(given, dtype=np.int64)[keep]
         stalks = [np.full(c.n_simplices(n), -1) for n in range(c.max_dim + 1)]
         for n, dims in enumerate(stalks):
-            dims[pos[dim == n]] = np.array(given, dtype=np.int64)[dim == n]
+            dims[pos[dim == n]] = given[dim == n]
             if (dims < 0).any():
                 raise MissingStalk(f"no stalk dimension for {c.simplices(n)[np.argmax(dims < 0)]}")
             over = np.cumsum(dims, dtype=np.uint64) >= 2**63  # exact up to the first total past int64
@@ -84,17 +83,16 @@ class Sheaf:
         for offsets in self._offsets:
             offsets.flags.writeable = False
 
-    def _set_coboundaries(self, stalks: list[np.ndarray], restrictions: Mapping) -> None:
-        c, matrices = self.complex, list(restrictions.values())
-        faces, cofaces = zip(*restrictions) if restrictions else ((), ())
+    def _set_coboundaries(self, stalks: list[np.ndarray], restrictions: Mapping | Iterable) -> None:
+        c, (keys, matrices) = self.complex, _pairs(restrictions)
+        faces, cofaces = tuple(zip(*keys)) or ((), ())
         (face_dim, f), (dim, j) = c._find(faces), c._find(cofaces)
         given = [np.asarray(m, dtype=np.float64) for m in matrices]
         size = np.fromiter((m.size for m in given), np.int64, len(given))
         data = np.concatenate([np.zeros(0), *(m.ravel() for m in given)])
         source = np.cumsum(size) - size
         # (rows, cols) of each map with two axes; a flat map, (-1, -1), needs only its count.
-        shape = np.array([m.shape if m.ndim == 2 else (-1, -1) for m in given], np.int64)
-        shape = shape.reshape(-1, 2)
+        shape = np.array([m.shape if m.ndim == 2 else (-1, -1) for m in given], np.int64).reshape(-1, 2)
 
         def pair(k: int) -> str:
             return f"({c.simplices(face_dim[k])[f[k]]}, {c.simplices(dim[k])[j[k]]})"
@@ -111,21 +109,21 @@ class Sheaf:
             if not hit.any(axis=1).all():
                 raise ValueError(f"{pair(at[np.argmin(hit.any(axis=1))])} is not an incident pair")
             cell = j[at] * (n + 1) + hit.argmax(axis=1)
-            sizes = (stalks[n][:, None] * stalks[n - 1][table]).ravel()
-            expected = np.stack([stalks[n][j[at]], stalks[n - 1][f[at]]], axis=1)
-            two_axes = shape[at, 0] >= 0
-            wrong = (size[at] != sizes[cell]) | (two_axes & (shape[at] != expected).any(axis=1))
+            want = np.stack([stalks[n][j[at]], stalks[n - 1][f[at]]], axis=1)
+            count, rest = np.divmod(size[at], np.maximum(want[:, 1], 1))  # no product to wrap
+            wrong = (rest != 0) | (count != np.where(want[:, 1] > 0, want[:, 0], 0))
+            wrong |= (shape[at, 0] >= 0) & (shape[at] != want).any(axis=1)
             if wrong.any():
-                k = at[np.argmax(wrong)]
-                got, want = given[k].shape, (int(stalks[n][j[k]]), int(stalks[n - 1][f[k]]))
-                raise ShapeMismatch(f"restriction {pair(k)} has shape {got}, expected {want}")
-            missing = (sizes > 0) & ~np.isin(np.arange(len(sizes)), cell)
+                k = np.argmax(wrong)
+                got, expected = given[at[k]].shape, tuple(want[k].tolist())
+                raise ShapeMismatch(f"restriction {pair(at[k])} has shape {got}, expected {expected}")
+            missing = ((stalks[n][:, None] > 0) & (stalks[n - 1][table] > 0)).ravel()
+            missing[cell] = False
             if missing.any():
                 row, i = divmod(int(np.argmax(missing)), n + 1)
                 omitted = (c.simplices(n - 1)[table[row, i]], c.simplices(n)[row])
                 raise MissingRestriction(f"no restriction map for {omitted}")
-            # A cell given twice keeps its last map; from_coo would sum the two.
-            last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]
+            last = _last(cell)  # from_coo would sum the maps of a cell given twice
             at, (coface, i) = at[last], np.divmod(cell[last], n + 1)
             # Each map, row-major, at its coface's rows and its face's columns, times (-1)**i.
             row_off, col_off, face = self._offsets[n], self._offsets[n - 1], f[at]
@@ -183,6 +181,16 @@ class Sheaf:
 
     def total_dim(self, n: int) -> int:
         return int(self.offsets(n)[-1])
+
+
+def _pairs(given: Mapping | Iterable[tuple]) -> tuple:
+    """Keys and values, in order, of a Mapping or of (key, value) pairs."""
+    return tuple(zip(*(given.items() if isinstance(given, Mapping) else given))) or ((), ())
+
+
+def _last(cell: np.ndarray) -> np.ndarray:
+    """Where each distinct value of cell occurs last, in increasing value order."""
+    return len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]
 
 
 def constant_sheaf(c: SimplicialComplex) -> Sheaf:

@@ -294,3 +294,23 @@ def test_equality_compares_arrays(monkeypatch):
     assert d != SparseMatrix.from_coo(3, 2, [0, 1, 2], [0, 0, 0], [1.0, -1.0, 1.0], Field.REAL)
     assert d != boundary_matrix(TRIANGLE, 2, Field.GF2)
     assert boundary_matrix(TRIANGLE, 2, Field.GF2) == transpose(coboundary_matrix(TRIANGLE, 1, Field.GF2))
+
+
+def test_compose_finds_rows_by_entries_not_by_the_inner_dimension():
+    """A map with 2**62 + 1 rows and two entries: no index per inner row."""
+    rows = 2**62 + 1
+    d = SparseMatrix.from_coo(rows, 2, [0, rows - 1], [1, 0], [2.0, 3.0], Field.REAL)
+    assert np.array_equal(compose(transpose(d), d).toarray(), [[9.0, 0.0], [0.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "other,error,message",
+    [
+        (SparseMatrix.zeros(2, 3, Field.GF2), FieldMismatch, "cannot add real and gf2"),
+        (SparseMatrix.zeros(3, 2, Field.REAL), ShapeMismatch, "shapes differ: (2, 3) vs (3, 2)"),
+    ],
+)
+def test_add_needs_one_field_and_one_shape(other, error, message):
+    with pytest.raises(error) as err:
+        add(SparseMatrix.zeros(2, 3, Field.REAL), other)
+    assert str(err.value) == message

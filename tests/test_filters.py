@@ -245,3 +245,12 @@ def test_single_polynomial_filter_diagonalizes():
         transformed = basis.eigenvectors.T @ h @ basis.eigenvectors
         off = transformed - np.diag(np.diag(transformed))
         assert np.max(np.abs(off)) <= 1e-7 * max(np.max(np.abs(h)), 1.0)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{"alpha0": float("nan")}, {"down_coeffs": (0.1, float("inf"))}, {"up_coeffs": (-float("inf"),)}],
+)
+def test_filter_spec_rejects_non_finite_coefficients(coeffs):
+    with pytest.raises(ValueError, match="^filter coefficients must be finite$"):
+        FilterSpec(1, **coeffs)

@@ -409,3 +409,9 @@ def test_decompose_checks_the_kernel_without_assembling_the_laplacian(monkeypatc
     for n, s in enumerate(signals):  # dimension 0 has only the side above, 2 only the one below
         with pytest.raises(NumericalFailure, match="not in the Laplacian kernel"):
             hodge_decompose(Cochain(n, s), c, n)
+
+
+@pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0, 4.0]], 2.0])
+def test_weights_must_be_vectors(values):
+    with pytest.raises(ShapeMismatch, match="^weights for dimension 1 must be a vector$"):
+        InnerProductWeights({1: values})

@@ -18,7 +18,7 @@ import hodgekit
 from hodgekit import Field, Simplex, SparseMatrix, betti, check_consistency
 from hodgekit import generators, io
 from hodgekit.cli import build_parser, main
-from hodgekit.errors import FormatError
+from hodgekit.errors import BadParams, FormatError
 from hodgekit.hodge import InnerProductWeights
 
 from conftest import CORPUS_TOPS, LEFT_SHIFT, DROP_LAST, TORSION, random_clique_complex
@@ -496,6 +496,28 @@ def test_cli_zero_edge_stalks_beside_a_huge_vertex_stalk(tmp_path, capsys):
     assert capsys.readouterr().out == '{"cohomology_dims": [4611686018427387905, 0]}\n'
 
 
+def test_cli_block_checks_do_not_wrap_the_stalk_product(tmp_path, capsys):
+    complex_file = write_json(tmp_path / "edge.json", {"top_simplices": [[0, 1]]})
+    stalks = {"[0]": 4, "[1]": 0, "[0,1]": 2**62}
+    for maps, message in (
+        ([], "no restriction map for (Simplex(0,), Simplex(0, 1))"),
+        ([{"face": [0], "coface": [0, 1], "matrix": []}], "has shape (0,), expected (4611686018427387904, 4)"),
+    ):
+        sheaf_file = write_json(tmp_path / "sheaf.json", {"stalks": stalks, "restrictions": maps})
+        assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+
+def test_cli_huge_edge_stalk_on_a_filled_triangle(tmp_path, capsys):
+    complex_file = write_json(tmp_path / "tri.json", {"top_simplices": [[0, 1, 2]]})
+    stalks = {"[0]": 1, "[1]": 0, "[2]": 0, "[0,1]": 1, "[0,2]": 1, "[1,2]": 2**62, "[0,1,2]": 0}
+    maps = [{"face": [0], "coface": edge, "matrix": [[1]]} for edge in ([0, 1], [0, 2])]
+    sheaf_file = write_json(tmp_path / "sheaf.json", {"stalks": stalks, "restrictions": maps})
+    assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 0
+    assert capsys.readouterr() == ('{"cohomology_dims": [0, 4611686018427387905, 0]}\n', "")
+
+
 def test_vertex_labels_past_int64(tmp_path, capsys):
     big = 2**64
     path = write_json(tmp_path / "big.json", {"top_simplices": [[0, 1, big], [1, big, 7], [0, 7]]})
@@ -560,6 +582,45 @@ def test_cli_generate_bad_params(capsys):
     assert main(["generate", "cycle"]) == 2
     assert main(["generate", "random-graph", "--n", "5", "--p", "2.0"]) == 2
     capsys.readouterr()
+
+
+GENERATOR_ERRORS = {
+    "cycle of 2": (lambda: generators.cycle(2), ["cycle", "--n", "2"],
+                   "a cycle needs at least 3 vertices, got 2"),
+    "path of 0": (lambda: generators.path(0), ["path", "--n", "0"],
+                  "a path needs at least 1 vertex, got 0"),
+    "graph of 0": (lambda: generators.random_graph(0, 0.5, 0), ["random-graph", "--n", "0"],
+                   "a graph needs at least 1 vertex, got 0"),
+    "edge probability above 1": (lambda: generators.random_graph(5, 2.0, 0),
+                                 ["random-graph", "--n", "5", "--p", "2.0"],
+                                 "edge probability must be in [0, 1], got 2.0"),
+    "edge probability below 0": (lambda: generators.random_graph(5, -0.5, 0),
+                                 ["random-graph", "--n", "5", "--p=-0.5"],
+                                 "edge probability must be in [0, 1], got -0.5"),
+    "crosslinked cycle of 2": (lambda: generators.crosslinked_cycle(2, 0, 0),
+                               ["crosslinked-cycle", "--n", "2"],
+                               "a cycle needs at least 3 vertices, got 2"),
+    "negative chord count": (lambda: generators.crosslinked_cycle(6, -1, 0),
+                             ["crosslinked-cycle", "--n", "6", "--k=-1"],
+                             "chord count must be non-negative, got -1"),
+    "more chords than pairs": (lambda: generators.crosslinked_cycle(5, 6, 0),
+                               ["crosslinked-cycle", "--n", "5", "--k", "6"],
+                               "only 5 chords available, asked for 6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_ERRORS))
+def test_generators_reject_bad_params(case, capsys):
+    call, argv, message = GENERATOR_ERRORS[case]
+    with pytest.raises(BadParams) as err:
+        call()
+    assert str(err.value) == message
+    assert main(["generate", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_path_of_one_vertex_is_that_vertex():
+    assert generators.path(1) == [[0]]
 
 
 GENERATE_KINDS = {
@@ -697,6 +758,7 @@ SHEAF_FILE_ERRORS = {
     "stalk dimension 2**63": _set(["stalks", "[0]"], 2**63),
     "stalk total past int64": _stalks_past_int64,
     "stalk key with a bool beside its int": lambda sheaf: sheaf["stalks"].update({"[true]": 3}),
+    "stalk dimension true beside its int": lambda sheaf: sheaf["stalks"].update({"[0,1]": True, "[0, 1]": 2}),
     "stalk key holding a list": _stalk_key("[0]", "[[0]]"),
     "stalk key nested past the decoder's depth": _stalk_key("[0]", "[" * 100_000 + "]" * 100_000),
     "stalk missing": lambda sheaf: sheaf["stalks"].pop("[2]"),
@@ -724,6 +786,7 @@ SHEAF_FILE_ERRORS = {
 SHEAF_FILE_MESSAGES = {
     "ragged rows": "restrictions[0].matrix rows must all have the same length",
     "transposed block": "(Simplex(0,), Simplex(0, 1)) has shape (3, 2), expected (2, 3)",
+    "stalk dimension true beside its int": "stalk dimension for Simplex(0, 1) must be a non-negative",
 }
 
 
@@ -737,6 +800,50 @@ def test_cli_sheaf_file_errors_exit_2(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert SHEAF_FILE_MESSAGES.get(case, "") in captured.err
+
+
+IO_ERRORS = {
+    "assignment block of the wrong length": (
+        "assignment", {"dim": 0, "blocks": [[1, 2], [2, 3, 4], [3, 4, 5]]},
+        "block for Simplex(0,) has length 2, stalk is 3",
+    ),
+    "assignment block not finite": (
+        "assignment", {"dim": 0, "blocks": [[1, 2, float("nan")], [2, 3, 4], [3, 4, 5]]},
+        "block for Simplex(0,) must be a list of finite numbers",
+    ),
+    "assignment block not a list": (
+        "assignment", {"dim": 0, "blocks": [1, [2, 3, 4], [3, 4, 5]]},
+        "block for Simplex(0,) must be a list of finite numbers",
+    ),
+    "weights not an object": ("weights", [[1.0, 1.0, 1.0]], "weights file must be a JSON object"),
+    "filter of degree 65": (
+        "filter", {"dim": 1, "alpha0": 0.0, "down": [0.1] * 65, "up": []},
+        "invalid filter: filter degree 65 exceeds 64",
+    ),
+    "matrix labels of the wrong count": ("csv", None, "label counts do not match the matrix shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IO_ERRORS))
+def test_io_rejects_bad_inputs(case, triangle_file, tmp_path, capsys):
+    kind, obj, message = IO_ERRORS[case]
+    complex_file, sheaf_file = shift_register_files(tmp_path)
+    sh = io.parse_sheaf(io.load_json(sheaf_file), io.parse_complex(io.load_json(complex_file)))
+    signal = write_json(tmp_path / "signal.json", {"dim": 1, "values": [1.0, 2.0, 3.0]})
+    path = write_json(tmp_path / "input.json", obj)
+    calls = {
+        "assignment": (lambda: io.parse_assignment(obj, sh), ["sheaf-check", complex_file, sheaf_file, path]),
+        "weights": (lambda: io.parse_weights(obj), ["laplacian", triangle_file, "--dim", "1", "--weights", path]),
+        "filter": (lambda: io.parse_filter(obj), ["filter", triangle_file, signal, path]),
+        "csv": (lambda: io.matrix_to_csv(SparseMatrix.zeros(2, 3, Field.REAL), ["0", "1"], ["0"]), None),
+    }
+    call, argv = calls[kind]
+    with pytest.raises(FormatError) as err:
+        call()
+    assert str(err.value) == message
+    if argv is not None:  # matrix_to_csv gets its labels from the complex in every command
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_sheaf_keys_spelled_twice_keep_the_last(tmp_path):

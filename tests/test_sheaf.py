@@ -16,6 +16,7 @@ from hodgekit import (
     Field,
 )
 from hodgekit.errors import (
+    DimensionOutOfRange,
     InconsistentSheaf,
     MissingRestriction,
     MissingStalk,
@@ -231,6 +232,88 @@ def test_zero_edge_stalks_beside_a_huge_vertex_stalk_need_no_dense_array():
     stalks = {(0,): 2**62, (1,): 1, (2,): 1, (3,): 1, (0, 1): 0, (1, 2): 1, (2, 3): 1}
     maps = {((v,), edge): [[1]] for edge in ((1, 2), (2, 3)) for v in edge}
     assert sheaf_cohomology_dims(path, Sheaf(path, stalks, maps)) == [2**62 + 1, 0]
+
+
+def test_block_checks_compare_each_axis_so_no_stalk_product_wraps():
+    """stalk(coface) * stalk(face) is 2**64 here, which is 0 in int64."""
+    edge = build_complex([[0, 1]])
+    stalks = {(0,): 4, (1,): 0, (0, 1): 2**62}
+    with pytest.raises(MissingRestriction, match=r"^no restriction map for \(Simplex\(0,\), Simplex\(0, 1\)\)$"):
+        Sheaf(edge, stalks, {})
+    with pytest.raises(ShapeMismatch, match=r"has shape \(0,\), expected \(4611686018427387904, 4\)$"):
+        Sheaf(edge, stalks, {((0,), (0, 1)): []})
+
+
+def test_a_huge_edge_stalk_on_a_filled_triangle_composes_by_entries():
+    """delta_1 delta_0 has an inner dimension past 2**62 but only two entries to meet."""
+    tri = build_complex([[0, 1, 2]])
+    stalks = {(0,): 1, (1,): 0, (2,): 0, (0, 1): 1, (0, 2): 1, (1, 2): 2**62, (0, 1, 2): 0}
+    maps = {((0,), (0, 1)): [[1]], ((0,), (0, 2)): [[1]]}
+    assert sheaf_cohomology_dims(tri, Sheaf(tri, stalks, maps)) == [0, 2**62 + 1, 0]
+
+
+def test_pairs_build_the_sheaf_their_mapping_builds():
+    c = CORPUS["torus7"]
+    sh = gauge_sheaf(c, seed=3)
+    stalks = {tuple(s.vertices): sh.stalk_dim(s) for n in range(3) for s in c.simplices(n)}
+    maps = {
+        (face, coface): sh.restriction(face, coface)
+        for n in (1, 2) for coface in c.simplices(n) for face in coface.faces()
+    }
+    from_pairs = Sheaf(c, list(stalks.items()), list(maps.items()))
+    from_mapping = Sheaf(c, stalks, maps)
+    for n in range(3):
+        a, b = sheaf_coboundary(c, from_pairs, n), sheaf_coboundary(c, from_mapping, n)
+        assert a.shape == b.shape
+        assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("row", "col", "data"))
+
+
+def test_a_simplex_given_twice_in_pairs_keeps_its_last_stalk():
+    edge = build_complex([[0, 1]])
+    stalks = [((0,), 5), ((1,), 1), ((0, 1), 3), ((0,), 2), ((1, 0), 0)]
+    sh = Sheaf(edge, stalks, [])
+    assert [sh.stalk_dim(Simplex(s)) for s in ((0,), (1,), (0, 1))] == [2, 1, 0]
+    # Every value is checked, also one that a later pair replaces.
+    with pytest.raises(ValueError, match=r"^stalk dimension for Simplex\(0,\) must be"):
+        Sheaf(edge, [((0,), True), *stalks], [])
+
+
+def test_zero_vertex_stalks_have_an_empty_harmonic_basis():
+    edge = build_complex([[0, 1]])
+    sh = Sheaf(edge, {(0,): 0, (1,): 0, (0, 1): 2}, {})
+    ops = sheaf_laplacian(edge, sh, 0)
+    assert ops.size == 0 and harmonic_basis(ops) == []
+    assert len(harmonic_basis(sheaf_laplacian(edge, sh, 1))) == 2
+
+
+SHEAF_ERRORS = {
+    "coboundary below dimension 0": (
+        DimensionOutOfRange, "dimension -1 outside 0..1", lambda c, sh: sheaf_coboundary(c, sh, -1)
+    ),
+    "coboundary past the top": (
+        DimensionOutOfRange, "dimension 2 outside 0..1", lambda c, sh: sheaf_coboundary(c, sh, 2)
+    ),
+    "laplacian below dimension 0": (
+        DimensionOutOfRange, "dimension -1 outside 0..1", lambda c, sh: sheaf_laplacian(c, sh, -1)
+    ),
+    "laplacian past the top": (
+        DimensionOutOfRange, "dimension 2 outside 0..1", lambda c, sh: sheaf_laplacian(c, sh, 2)
+    ),
+    "assignment of the wrong length": (
+        ShapeMismatch,
+        "assignment length 8 != stalk total 9",
+        lambda c, sh: check_consistency(c, sh, Assignment(0, np.zeros(8))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHEAF_ERRORS))
+def test_sheaf_functions_reject_bad_arguments(case):
+    error, message, call = SHEAF_ERRORS[case]
+    line, sh = shift_register_sheaf()
+    with pytest.raises(error) as err:
+        call(line, sh)
+    assert str(err.value) == message
 
 
 SHEAF_CALLS = {
