@@ -7,19 +7,19 @@ with respect to the weighted inner products; the resulting operator is
 self-adjoint for those products but not symmetric as a raw matrix, so
 spectral work symmetrizes it by the similarity W^(1/2) L W^(-1/2).
 
-One assembly serves the simplicial and the sheaf Laplacian.  Each side
-of dimension n is a map S into it and contributes S S*, where
-S* = W_other^(-1) S^T W_n.  hodge_laplacian takes adjoints on the chain
-side (S = d_n* below, d_(n+1) above), sheaf_laplacian on the cochain side
-(S = delta_(n-1) below, delta_n* above); so with weights W,
-sheaf_laplacian(constant_sheaf(c), n, W) is hodge_laplacian(c, n, W^(-1))
-transposed.  With unit weights the two are equal.
+One side rule and one assembly serve the simplicial and the sheaf
+Laplacian.  Each side of dimension n is a map S into it and contributes
+S S*, S* = W_other^(-1) S^T W_n; S is the stored map that ends at n, or the
+weighted adjoint of the one that starts there: d_n* (adjoint_boundary) below
+and d_(n+1) above for hodge_laplacian, delta_(n-1) and delta_n* for
+sheaf_laplacian.  So with weights W, sheaf_laplacian(constant_sheaf(c), n, W)
+is hodge_laplacian(c, n, W^(-1)) transposed; with unit weights they are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -134,20 +134,29 @@ def _assemble(
     return HodgeOperators(n, up, down, add(up, down), w_n, from_below, from_above)
 
 
+def _sides(n: int, w: InnerProductWeights | None, size: Callable[[int], int], maps: dict) -> tuple:
+    """Weights on dimension n, and the (S, S*) pair below and above (None past an end).
+    maps holds the stored maps between n and n +- 1 by (source, target) dimension, and
+    size(k) is the length of dimension k; S follows the module docstring's rule."""
+    w = w or InnerProductWeights.ones()
+    ws, sides = {n: w.vector(n, size(n))}, {}
+    for (src, dst), a in maps.items():
+        far = src + dst - n
+        ws[far] = w.vector(far, size(far))
+        adj = _adjoint(a, ws[src], ws[dst])
+        sides[far] = (a, adj) if dst == n else (adj, a)
+    return ws[n], sides.get(n - 1), sides.get(n + 1)
+
+
 def adjoint_boundary(
     c: SimplicialComplex, n: int, w: InnerProductWeights | None = None
 ) -> SparseMatrix:
     """Adjoint of the n-th boundary map for the weighted inner products.
 
-    Computes W_n^(-1) d_n^T W_(n-1); with all-ones weights this is exactly
-    the transpose.
+    Computes W_n^(-1) d_n^T W_(n-1), the S of the n-chains' side below;
+    with all-ones weights this is exactly the transpose.
     """
-    w = w or InnerProductWeights.ones()
-    return _adjoint(
-        boundary_matrix(c, n, Field.REAL),
-        w.vector(n, c.n_simplices(n)),
-        w.vector(n - 1, c.n_simplices(n - 1)),
-    )
+    return _sides(n, w, c.n_simplices, {(n, n - 1): boundary_matrix(c, n, Field.REAL)})[1][0]
 
 
 def hodge_laplacian(
@@ -159,23 +168,14 @@ def hodge_laplacian(
     side (d* = W_n^(-1) d^T W_(n-1)).  Missing boundary maps (below
     dimension 0, above the top dimension) contribute zero blocks.
     """
-    return _assemble(n, *_sides(c, n, w))
+    return _assemble(n, *_sides(n, w, c.n_simplices, _boundaries(c, n)))
 
 
-def _sides(c: SimplicialComplex, n: int, w: InnerProductWeights | None) -> tuple:
-    """Weights on the n-chains, and the (S, S*) pair below and above (None past an end)."""
+def _boundaries(c: SimplicialComplex, n: int) -> dict:
+    """d_(n+1) and d_n where the complex has them, by (source, target) dimension."""
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
-    w = w or InnerProductWeights.ones()
-    w_n = w.vector(n, c.n_simplices(n))
-    below = above = None
-    if n < c.max_dim:
-        d = boundary_matrix(c, n + 1, Field.REAL)
-        above = (d, _adjoint(d, w.vector(n + 1, c.n_simplices(n + 1)), w_n))
-    if n >= 1:
-        d = boundary_matrix(c, n, Field.REAL)
-        below = (_adjoint(d, w_n, w.vector(n - 1, c.n_simplices(n - 1))), d)
-    return w_n, below, above
+    return {(k, k - 1): boundary_matrix(c, k, Field.REAL) for k in (n + 1, n) if 1 <= k <= c.max_dim}
 
 
 def symmetrized(ops: HodgeOperators) -> SparseMatrix:
@@ -271,7 +271,7 @@ def hodge_decompose(
         )
     if not np.all(np.isfinite(s.values)):
         raise NumericalFailure("signal has a NaN or infinite value")
-    w_n, below, above = _sides(c, n, w)
+    w_n, below, above = _sides(n, w, c.n_simplices, _boundaries(c, n))
     exponent = int(np.frexp(np.max(np.abs(s.values), initial=0.0))[1])
     values = np.ldexp(s.values, -exponent)
 

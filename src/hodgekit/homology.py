@@ -56,14 +56,16 @@ def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
 
     A pivot counts while its magnitude exceeds tol; the default tol is
     1e-9 times the largest absolute entry of the input.  A NaN, infinite
-    or negative tol raises ValueError.  Only the columns with an entry and
-    the rows up to the last entry are eliminated: the others never pivot.
+    or negative tol raises ValueError.  Only the columns with an entry, the first k
+    rows and the k rows with an entry are eliminated: pivot slots stay below k.
     """
     if m.field_tag is not Field.REAL:
         raise FieldMismatch("rank_real needs a real matrix")
     _check_tol(tol)
     used, at = np.unique(m.col, return_inverse=True)  # (row, at) keeps m's sorted order
-    a = SparseMatrix(int(m.row.max(initial=-1)) + 1, len(used), m.row, at, m.data, Field.REAL).toarray()
+    rows = m.row[np.diff(m.row, prepend=-1) != 0]  # m.row is sorted, so these are its distinct rows
+    kept = np.concatenate([np.arange(len(rows)), rows[rows >= len(rows)]])  # sorted, as rows[i] >= i
+    a = SparseMatrix(len(kept), len(used), np.searchsorted(kept, m.row), at, m.data, Field.REAL).toarray()
     if tol is None:
         tol = 1e-9 * np.max(np.abs(m.data), initial=0.0)
     rank = 0

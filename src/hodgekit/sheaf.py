@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     UnknownSimplex,
 )
-from .hodge import HodgeOperators, InnerProductWeights, _adjoint, _assemble
+from .hodge import HodgeOperators, InnerProductWeights, _assemble, _sides
 from .homology import _check_tol, _dims, rank_real
 
 if TYPE_CHECKING:
@@ -87,16 +87,21 @@ class Sheaf:
         c, (keys, matrices) = self.complex, _pairs(restrictions)
         faces, cofaces = tuple(zip(*keys)) or ((), ())
         (face_dim, f), (dim, j) = c._find(faces), c._find(cofaces)
-        given = [np.asarray(m, dtype=np.float64) for m in matrices]
+
+        def pair(k: int) -> str:
+            return f"({c.simplices(face_dim[k])[f[k]]}, {c.simplices(dim[k])[j[k]]})"
+
+        given = []
+        for k, m in enumerate(matrices):
+            try:
+                given.append(np.asarray(m, dtype=np.float64))
+            except (TypeError, ValueError, OverflowError):  # ragged rows, strings, ints past float range
+                raise ValueError(f"restriction {pair(k)} is not an array of numbers") from None
         size = np.fromiter((m.size for m in given), np.int64, len(given))
         data = np.concatenate([np.zeros(0), *(m.ravel() for m in given)])
         source = np.cumsum(size) - size
         # (rows, cols) of each map with two axes; a flat map, (-1, -1), needs only its count.
         shape = np.array([m.shape if m.ndim == 2 else (-1, -1) for m in given], np.int64).reshape(-1, 2)
-
-        def pair(k: int) -> str:
-            return f"({c.simplices(face_dim[k])[f[k]]}, {c.simplices(dim[k])[j[k]]})"
-
         if (face_dim != dim - 1).any():
             raise ValueError(f"{pair(np.argmax(face_dim != dim - 1))} is not an incident pair")
         if not np.isfinite(data).all():
@@ -270,13 +275,5 @@ def sheaf_laplacian(
     _check_complex(c, sh)
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
-    w = w or InnerProductWeights.ones()
-    w_n = w.vector(n, sh.total_dim(n))
-    below = above = None
-    if n < c.max_dim:
-        d = sheaf_coboundary(c, sh, n)
-        above = (_adjoint(d, w_n, w.vector(n + 1, sh.total_dim(n + 1))), d)
-    if n >= 1:
-        d = sheaf_coboundary(c, sh, n - 1)
-        below = (d, _adjoint(d, w.vector(n - 1, sh.total_dim(n - 1)), w_n))
-    return _assemble(n, w_n, below, above)
+    maps = {(k, k + 1): sheaf_coboundary(c, sh, k) for k in (n, n - 1) if 0 <= k < c.max_dim}
+    return _assemble(n, *_sides(n, w, sh.total_dim, maps))

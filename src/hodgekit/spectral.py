@@ -118,7 +118,8 @@ def graph_laplacians(c: SimplicialComplex) -> tuple[SparseMatrix, SparseMatrix]:
     if c.max_dim > 1:
         raise NotAGraph(f"complex has dimension {c.max_dim}")
     d1t = coboundary_matrix(c, 0, Field.REAL)  # 0 x #vertices without edges
-    return compose(transpose(d1t), d1t), compose(d1t, transpose(d1t))
+    d1 = transpose(d1t)
+    return compose(d1, d1t), compose(d1t, d1)
 
 
 def compare_spectra(c: SimplicialComplex, tol: float | None = None) -> SpectraReport:

@@ -294,6 +294,7 @@ def test_equality_compares_arrays(monkeypatch):
     assert d != SparseMatrix.from_coo(3, 2, [0, 1, 2], [0, 0, 0], [1.0, -1.0, 1.0], Field.REAL)
     assert d != boundary_matrix(TRIANGLE, 2, Field.GF2)
     assert boundary_matrix(TRIANGLE, 2, Field.GF2) == transpose(coboundary_matrix(TRIANGLE, 1, Field.GF2))
+    assert (d == 3) is False and repr(d) == "SparseMatrix(3x1, real, nnz=3)"
 
 
 def test_compose_finds_rows_by_entries_not_by_the_inner_dimension():

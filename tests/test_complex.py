@@ -42,11 +42,16 @@ def test_hollow_triangle_is_its_own_closure():
     assert c.n_simplices(0) == 3
     assert c.n_simplices(1) == 3
     assert c.max_dim == 1
+    assert repr(c) == "SimplicialComplex(dim=1, counts=[3,3])"
+    with pytest.raises(ValueError):
+        c.n_simplices(-1)
 
 
 def test_build_rejects_empty_and_duplicates():
     with pytest.raises(EmptySimplex):
         build_complex([[]])
+    with pytest.raises(EmptySimplex):
+        build_complex([])
     with pytest.raises(DuplicateVertex):
         build_complex([[0, 1, 0]])
     with pytest.raises(InvalidVertex):

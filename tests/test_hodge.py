@@ -83,6 +83,7 @@ def test_adjoint_identity_random_pairs():
     w = random_weights(c, rng)
     for n in (1, 2):
         d = boundary_matrix(c, n, Field.REAL).toarray()
+        assert adjoint_boundary(c, n, w) == hodge_laplacian(c, n, w).from_below  # the S below
         adj = adjoint_boundary(c, n, w).toarray()
         for _ in range(100):
             x_hi = rng.standard_normal(c.n_simplices(n))

@@ -98,11 +98,14 @@ def test_rank_real_of_a_map_with_no_entries_is_not_densified():
         assert profile == homology.RankProfile(0, cols, cols)
     with pytest.raises(ValueError, match="tol must be finite"):
         rank_real(SparseMatrix.zeros(0, huge, Field.REAL), float("nan"))
-    # Entries beside a huge side: only the columns with an entry, and the rows up to the last.
+    # Entries beside a huge side: only the columns with an entry, and of k rows with an
+    # entry, those and the first k.
     wide = SparseMatrix.from_coo(1, huge, [0, 0], [5, huge - 1], [2.0, -3.0], Field.REAL)
     assert rank_real(wide) == homology.RankProfile(1, huge - 1, huge)
     tall = SparseMatrix.from_coo(huge, 3, [0, 0, 1, 1], [0, 2, 1, 2], [1.0, 2, 3, 4], Field.REAL)
     assert rank_real(tall) == homology.RankProfile(2, 1, 3)
+    gap = SparseMatrix.from_coo(huge, 3, [1, huge - 1, huge - 1], [0, 1, 2], [1.0, 2, 3], Field.REAL)
+    assert rank_real(gap) == homology.RankProfile(2, 1, 3)
 
 
 def test_rank_field_checks():
@@ -110,6 +113,8 @@ def test_rank_field_checks():
         rank_gf2(SparseMatrix.identity(2, Field.REAL))
     with pytest.raises(FieldMismatch):
         rank_real(SparseMatrix.identity(2, Field.GF2))
+    with pytest.raises(FieldMismatch):
+        snf_gf2(SparseMatrix.identity(2, Field.REAL))
 
 
 def test_rank_equals_transpose_rank(corpus_complex):

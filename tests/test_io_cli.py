@@ -5,6 +5,7 @@ import contextlib
 import io as stdio
 import json
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -509,6 +510,15 @@ def test_cli_block_checks_do_not_wrap_the_stalk_product(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
 
 
+def test_cli_one_entry_past_a_huge_run_of_empty_rows(tmp_path, capsys):
+    complex_file = write_json(tmp_path / "c.json", {"top_simplices": [[0, 1], [1, 2], [3]]})
+    stalks = {"[0]": 0, "[1]": 0, "[2]": 1, "[3]": 1, "[0,1]": 2**62, "[1,2]": 1}
+    maps = [{"face": [2], "coface": [1, 2], "matrix": [[1]]}]
+    sheaf_file = write_json(tmp_path / "sheaf.json", {"stalks": stalks, "restrictions": maps})
+    assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 0
+    assert capsys.readouterr() == ('{"cohomology_dims": [1, 4611686018427387904]}\n', "")
+
+
 def test_cli_huge_edge_stalk_on_a_filled_triangle(tmp_path, capsys):
     complex_file = write_json(tmp_path / "tri.json", {"top_simplices": [[0, 1, 2]]})
     stalks = {"[0]": 1, "[1]": 0, "[2]": 0, "[0,1]": 1, "[0,2]": 1, "[1,2]": 2**62, "[0,1,2]": 0}
@@ -676,6 +686,16 @@ def run_fresh_process(argv: list[str]) -> tuple[int, str]:
         capture_output=True, text=True, env=env, timeout=120,
     )
     return done.returncode, done.stdout
+
+
+def test_python_dash_m_runs_main_and_exits_with_its_code(tmp_path, monkeypatch, capsys):
+    tri = write_json(tmp_path / "tri.json", {"top_simplices": [[0, 1, 2]]})
+    monkeypatch.setattr(sys, "argv", ["hodgekit.cli", "betti", tri])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_:
+        warnings.simplefilter("ignore", RuntimeWarning)  # hodgekit.cli is already imported
+        runpy.run_module("hodgekit.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr() == ('{"betti": [1, 0, 0]}\n', "")
 
 
 def test_back_to_back_main_calls_match_fresh_processes(tmp_path, capsys):

@@ -234,6 +234,23 @@ def test_zero_edge_stalks_beside_a_huge_vertex_stalk_need_no_dense_array():
     assert sheaf_cohomology_dims(path, Sheaf(path, stalks, maps)) == [2**62 + 1, 0]
 
 
+def test_one_entry_past_a_huge_run_of_empty_rows_needs_no_dense_array():
+    """delta_0 is (2**62 + 1) x 2 with its one entry in row 2**62."""
+    c = build_complex([[0, 1], [1, 2], [3]])
+    stalks = {(0,): 0, (1,): 0, (2,): 1, (3,): 1, (0, 1): 2**62, (1, 2): 1}
+    sh = Sheaf(c, stalks, {((2,), (1, 2)): [[1]]})
+    assert sheaf_cohomology_dims(c, sh) == [1, 2**62]
+
+
+@pytest.mark.parametrize("bad", [[[1, 2], [3]], "ab", [[10**400, 0], [0, 1]], {}],
+                         ids=["ragged", "string", "past float range", "dict"])
+def test_a_map_that_is_not_an_array_of_numbers_names_its_pair(bad):
+    edge = build_complex([[0, 1]])
+    maps = {((0,), (0, 1)): bad, ((1,), (0, 1)): [[1, 0], [0, 1]]}
+    with pytest.raises(ValueError, match=r"^restriction \(Simplex\(0,\), Simplex\(0, 1\)\) is not an array"):
+        Sheaf(edge, {(0,): 2, (1,): 2, (0, 1): 2}, maps)
+
+
 def test_block_checks_compare_each_axis_so_no_stalk_product_wraps():
     """stalk(coface) * stalk(face) is 2**64 here, which is 0 in int64."""
     edge = build_complex([[0, 1]])
