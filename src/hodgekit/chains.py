@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from .complex import SimplicialComplex
 
 REAL_ZERO_TOL = 1e-12
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class Field(Enum):
@@ -44,6 +45,27 @@ class Cochain:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _finite_reals(leaves: list) -> np.ndarray | None:
+    """The leaves as float64, or None unless each is a finite Python or numpy int or
+    float, never a bool, str or None; a Python int in float range exactly, unrounded."""
+    kinds = set(map(type, leaves))
+    real = all(t in (int, float) or issubclass(t, (np.integer, np.floating)) for t in kinds)
+    if not real or int in kinds and not all(abs(v) <= FLOAT_MAX for v in leaves if type(v) is int):
+        return None
+    values = np.fromiter(leaves, np.float64, len(leaves))
+    return values if np.isfinite(values).all() else None
+
+
+def _entries(m) -> tuple[tuple[int, ...], list]:
+    """Shape and row-major entries of an array or a list of equally long lists; other lists are
+    flat, anything else one entry.  A non-numeric dtype or ragged rows hold the entry None."""
+    if isinstance(m, np.ndarray):
+        return m.shape, m.ravel().tolist() if m.dtype.kind in "iuf" else [None]
+    if type(m) is list and set(map(type, m)) == {list}:
+        return (len(m), len(m[0])), [v for r in m for v in r] if len(set(map(len, m))) == 1 else [None]
+    return ((len(m),), m) if type(m) is list else ((), [m])
 
 
 def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

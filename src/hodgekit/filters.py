@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chains import Cochain, Field, SparseMatrix, apply
+from .chains import Cochain, Field, SparseMatrix, _finite_reals, apply
 from .errors import ShapeMismatch
 from .hodge import HodgeOperators
 
@@ -37,11 +37,10 @@ class FilterSpec:
     up_coeffs: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "down_coeffs", tuple(float(v) for v in self.down_coeffs))
-        object.__setattr__(self, "up_coeffs", tuple(float(v) for v in self.up_coeffs))
-        for v in (self.alpha0, *self.down_coeffs, *self.up_coeffs):
-            if not np.isfinite(v):
-                raise ValueError("filter coefficients must be finite")
+        if _finite_reals([self.alpha0, *self.down_coeffs, *self.up_coeffs]) is None:
+            raise ValueError("filter coefficients must be finite")
+        object.__setattr__(self, "down_coeffs", tuple(map(float, self.down_coeffs)))
+        object.__setattr__(self, "up_coeffs", tuple(map(float, self.up_coeffs)))
         degree = max(len(self.down_coeffs), len(self.up_coeffs))
         if degree > MAX_DEGREE:
             raise ValueError(f"filter degree {degree} exceeds {MAX_DEGREE}")

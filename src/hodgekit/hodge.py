@@ -27,6 +27,8 @@ from .chains import (
     Cochain,
     Field,
     SparseMatrix,
+    _entries,
+    _finite_reals,
     add,
     apply,
     boundary_matrix,
@@ -56,10 +58,10 @@ class InnerProductWeights:
         for dim, values in (weights or {}).items():
             if int(dim) < 0:
                 raise ValueError(f"weights dimension {dim} is negative")
-            vec = np.asarray(values, dtype=np.float64)
-            if vec.ndim != 1:
+            shape, leaves = _entries(values)
+            if len(shape) != 1:
                 raise ShapeMismatch(f"weights for dimension {dim} must be a vector")
-            if not np.all((vec > 0) & (vec < np.inf)):
+            if (vec := _finite_reals(leaves)) is None or not (vec > 0).all():
                 raise ValueError(f"weights for dimension {dim} must be finite and positive")
             self._weights[int(dim)] = vec
 

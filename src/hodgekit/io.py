@@ -11,10 +11,10 @@ Formats (all JSON unless noted):
   matrix CSV  header row of column labels, first column of row labels,
               vertex labels joined by "-"
 
-Unknown fields are rejected everywhere, and so are NaN, Infinity (both
-accepted by json.load) and integers beyond float range in any number.
-Only what JSON can get wrong is checked here; labels, stalks, maps and
-weight signs are checked by the complex, Sheaf and InnerProductWeights.
+Unknown fields are rejected everywhere.  Only what JSON can get wrong is
+checked here, vectors of numbers by chains._finite_reals (no NaN, Infinity,
+bool or integer beyond float range); labels, stalks, maps (their numbers too)
+and weight signs are checked by the complex, Sheaf and InnerProductWeights.
 """
 
 from __future__ import annotations
@@ -22,20 +22,16 @@ from __future__ import annotations
 import io as _io
 import json
 import csv
-import sys
-from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from .chains import Cochain, SparseMatrix
+from .chains import Cochain, SparseMatrix, _finite_reals
 from .complex import Simplex, SimplicialComplex, build_complex
 from .errors import FormatError, HodgekitError
 from .filters import FilterSpec
 from .hodge import InnerProductWeights
 from .sheaf import Assignment, Sheaf
-
-FLOAT_MAX = sys.float_info.max
 
 
 def _require_keys(obj: dict, required: set[str], what: str, optional: set[str] = frozenset()) -> None:
@@ -61,16 +57,10 @@ def _dim(obj: dict) -> int:
     return obj["dim"]
 
 
-def _finite(value: Any) -> bool:
-    # abs(v) <= FLOAT_MAX is False for NaN and Infinity, and exact for integers past float range.
-    numbers = isinstance(value, list) and set(map(type, value)) <= {int, float}
-    return numbers and all(map(FLOAT_MAX.__ge__, map(abs, value)))
-
-
-def _float_list(value: Any, what: str) -> list[float]:
-    if not _finite(value):
+def _float_list(value: Any, what: str) -> np.ndarray:
+    if not isinstance(value, list) or (values := _finite_reals(value)) is None:
         raise FormatError(f"{what} must be a list of finite numbers")
-    return list(map(float, value))
+    return values
 
 
 def parse_complex(obj: Any) -> SimplicialComplex:
@@ -93,7 +83,7 @@ def complex_to_obj(top_simplices: list[list[int]]) -> dict:
 
 def parse_signal(obj: Any) -> Cochain:
     _require_keys(obj, {"dim", "values"}, "signal file")
-    return Cochain(_dim(obj), np.array(_float_list(obj["values"], '"values"')))
+    return Cochain(_dim(obj), _float_list(obj["values"], '"values"'))
 
 
 def signal_to_obj(x: Cochain) -> dict:
@@ -103,13 +93,10 @@ def signal_to_obj(x: Cochain) -> dict:
 def parse_filter(obj: Any) -> FilterSpec:
     _require_keys(obj, {"dim", "alpha0", "down", "up"}, "filter file")
     n = _dim(obj)
-    if not isinstance(obj["alpha0"], (int, float)) or isinstance(obj["alpha0"], bool):
-        raise FormatError('"alpha0" must be a number')
-    (alpha0,) = _float_list([obj["alpha0"]], '"alpha0"')
     down = _float_list(obj["down"], '"down"')
     up = _float_list(obj["up"], '"up"')
-    try:
-        return FilterSpec(n, alpha0, tuple(down), tuple(up))
+    try:  # FilterSpec checks alpha0
+        return FilterSpec(n, obj["alpha0"], tuple(down), tuple(up))
     except ValueError as exc:
         raise FormatError(f"invalid filter: {exc}") from exc
 
@@ -130,17 +117,6 @@ def parse_weights(obj: Any) -> InnerProductWeights:
         return InnerProductWeights(table)
     except ValueError as exc:
         raise FormatError(f"invalid weights: {exc}") from exc
-
-
-def _matrix(value: Any, what: str) -> np.ndarray:
-    """A restriction matrix: a list of equally long rows of finite numbers."""
-    rows = _list(value, what)
-    if not set(map(type, rows)) <= {list} or not _finite(list(chain.from_iterable(rows))):
-        raise FormatError(f"{what} row must be a list of finite numbers")
-    try:
-        return np.array(rows, dtype=np.float64)
-    except ValueError:  # the numbers are finite, so only rows of different lengths get here
-        raise FormatError(f"{what} rows must all have the same length") from None
 
 
 def _stalk_key(key: str) -> list:
@@ -165,8 +141,11 @@ def parse_sheaf(obj: Any, c: SimplicialComplex) -> Sheaf:
         _require_keys(entry, {"face", "coface", "matrix"}, f"restrictions[{i}]")
         face = _list(entry["face"], f"restrictions[{i}].face")
         coface = _list(entry["coface"], f"restrictions[{i}].coface")
-        maps.append(((face, coface), _matrix(entry["matrix"], f"restrictions[{i}].matrix")))
-    try:  # Sheaf checks labels, stalks and maps, and keeps the last of repeats
+        matrix = _list(entry["matrix"], f"restrictions[{i}].matrix")
+        if not set(map(type, matrix)) <= {list} or len(set(map(len, matrix))) > 1:
+            raise FormatError(f"restrictions[{i}].matrix rows must all have the same length and be lists")
+        maps.append(((face, coface), matrix))
+    try:  # Sheaf checks labels, stalks and the maps' numbers, and keeps the last of repeats
         return Sheaf(c, stalks, maps)
     except ValueError as exc:
         raise FormatError(f"invalid sheaf: {exc}") from exc
@@ -180,11 +159,11 @@ def parse_assignment(obj: Any, sh: Sheaf) -> Assignment:
     if len(blocks) != len(stalk):
         raise FormatError(f"expected {len(stalk)} blocks for dimension {n}, got {len(blocks)}")
     for j, block in enumerate(blocks):
-        if not _finite(block) or len(block) != stalk[j]:
+        if not isinstance(block, list) or _finite_reals(block) is None or len(block) != stalk[j]:
             s = sh.complex.simplices(n)[j]
             _float_list(block, f"block for {s}")
             raise FormatError(f"block for {s} has length {len(block)}, stalk is {stalk[j]}")
-    return Assignment(n, np.array(list(chain.from_iterable(blocks)), dtype=np.float64))
+    return Assignment(n, np.array([v for block in blocks for v in block], dtype=np.float64))
 
 
 def assignment_to_obj(x: Assignment, sh: Sheaf) -> dict:

@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chains import Cochain, Field, SparseMatrix, _runs, apply, coboundary_matrix, compose
+from .chains import (Cochain, Field, SparseMatrix, _entries, _finite_reals, _runs, apply,
+                     coboundary_matrix, compose)
 from .complex import Simplex
 from .errors import (
     DimensionOutOfRange,
@@ -46,11 +47,12 @@ class Sheaf:
     stalk_dims and restrictions are Mappings or lists of (key, value) pairs.
     Each simplex (a Simplex or vertex labels) gets an integer (not a bool)
     >= 0, each dimension's totalling below 2**63, else ValueError; each
-    (face, coface) pair with two nonzero stalks an array of shape
-    (stalk(coface), stalk(face)), or flat with that many entries.  Every value
-    is checked, then a simplex or pair given twice keeps its last.  Held as
-    its cochain complex: per dimension n, the start offsets _offsets[n] of the
-    n-simplices' stalks in canonical order, and the coboundary _delta[n].
+    (face, coface) pair with two nonzero stalks a map of shape (stalk(coface),
+    stalk(face)), or flat with that many entries, else ShapeMismatch: a numpy
+    array of integer or floating dtype, or a list of equally long rows or of
+    entries, each a finite Python or numpy int or float (not a bool), else
+    ValueError.  Every value is checked, then a simplex or pair given twice keeps
+    its last.  Held as its cochain complex: stalk offsets _offsets[n], _delta[n].
     """
 
     def __init__(self, c: SimplicialComplex, stalk_dims: Mapping | Iterable[tuple],
@@ -91,22 +93,18 @@ class Sheaf:
         def pair(k: int) -> str:
             return f"({c.simplices(face_dim[k])[f[k]]}, {c.simplices(dim[k])[j[k]]})"
 
-        given = []
-        for k, m in enumerate(matrices):
-            try:
-                given.append(np.asarray(m, dtype=np.float64))
-            except (TypeError, ValueError, OverflowError):  # ragged rows, strings, ints past float range
-                raise ValueError(f"restriction {pair(k)} is not an array of numbers") from None
-        size = np.fromiter((m.size for m in given), np.int64, len(given))
-        data = np.concatenate([np.zeros(0), *(m.ravel() for m in given)])
-        source = np.cumsum(size) - size
-        # (rows, cols) of each map with two axes; a flat map, (-1, -1), needs only its count.
-        shape = np.array([m.shape if m.ndim == 2 else (-1, -1) for m in given], np.int64).reshape(-1, 2)
         if (face_dim != dim - 1).any():
             raise ValueError(f"{pair(np.argmax(face_dim != dim - 1))} is not an incident pair")
-        if not np.isfinite(data).all():
-            k = np.searchsorted(source + size, np.argmin(np.isfinite(data)), side="right")
-            raise ValueError(f"restriction {pair(k)} has a non-finite entry")
+        given = list(map(_entries, matrices))
+        data = _finite_reals([v for _, e in given for v in e])
+        if data is None:  # name the first map that fails the number rule
+            k = next(k for k, (_, e) in enumerate(given) if _finite_reals(e) is None)
+            raise ValueError(f"restriction {pair(k)} is not an array of finite numbers")
+        size = np.fromiter((len(e) for _, e in given), np.int64, len(given))
+        source = np.cumsum(size) - size
+        # (rows, cols) of a 2-D map; a flat one's (-1, -1) needs only its count; (-2, -2) fits no pair.
+        shape = [s if len(s) == 2 else (-1, -1) if len(s) == 1 else (-2, -2) for s, _ in given]
+        shape = np.array(shape, np.int64).reshape(-1, 2)
         self._delta = []
         for n in range(1, c.max_dim + 1):
             table, at = c.face_table(n), np.flatnonzero(dim == n)
@@ -117,10 +115,10 @@ class Sheaf:
             want = np.stack([stalks[n][j[at]], stalks[n - 1][f[at]]], axis=1)
             count, rest = np.divmod(size[at], np.maximum(want[:, 1], 1))  # no product to wrap
             wrong = (rest != 0) | (count != np.where(want[:, 1] > 0, want[:, 0], 0))
-            wrong |= (shape[at, 0] >= 0) & (shape[at] != want).any(axis=1)
+            wrong |= (shape[at, 0] != -1) & (shape[at] != want).any(axis=1)
             if wrong.any():
                 k = np.argmax(wrong)
-                got, expected = given[at[k]].shape, tuple(want[k].tolist())
+                got, expected = given[at[k]][0], tuple(want[k].tolist())
                 raise ShapeMismatch(f"restriction {pair(at[k])} has shape {got}, expected {expected}")
             missing = ((stalks[n][:, None] > 0) & (stalks[n - 1][table] > 0)).ravel()
             missing[cell] = False

@@ -1,5 +1,7 @@
 """Boundary and coboundary matrices, matrix-vector algebra, field rules."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from hodgekit import (
     transpose,
 )
 from hodgekit import generators as gen
+from hodgekit.chains import _entries, _finite_reals
 from hodgekit.errors import DimensionOutOfRange, FieldMismatch, ShapeMismatch
 
 from conftest import random_complex
@@ -212,6 +215,37 @@ def test_non_finite_entries_rejected():
         SparseMatrix.from_dense(np.array([[nan, 0.0], [0.0, 1.0]]), Field.REAL)
     with pytest.raises(ValueError):
         SparseMatrix.from_entries(1, 1, [(0, 0, inf), (0, 0, -inf)], Field.REAL)
+
+
+FLOAT_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "leaves, expected",
+    [([1, 2.5, np.int64(-3), np.float32(0.5), np.uint64(2**64 - 1)], [1.0, 2.5, -3.0, 0.5, 2.0**64]),
+     ([int(FLOAT_MAX), -int(FLOAT_MAX)], [FLOAT_MAX, -FLOAT_MAX]), ([], [])],
+)
+def test_finite_reals_reads_python_and_numpy_numbers(leaves, expected):
+    assert _finite_reals(leaves).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, np.True_, "1", None, [1.0], 1j, float("nan"), -float("inf"), np.float64("inf"),
+     10**400, int(FLOAT_MAX) + 1, -int(FLOAT_MAX) - 1],
+)
+def test_finite_reals_refuses_every_other_leaf(bad):
+    """A bool, a numeric string and an int that rounds into float range are not finite reals."""
+    assert _finite_reals([1.0, bad]) is None
+
+
+def test_entries_reads_shapes_and_poisons_what_is_not_an_array():
+    assert _entries(np.arange(6).reshape(2, 1, 3)) == ((2, 1, 3), [0, 1, 2, 3, 4, 5])
+    assert _entries([[1, 2], [3, 4]]) == ((2, 2), [1, 2, 3, 4])
+    assert _entries([1, [2]]) == ((2,), [1, [2]])  # flat: the list entry fails the number rule
+    assert _entries("ab") == ((), ["ab"])
+    assert _entries([[1, 2], [3]])[1] == [None]
+    assert _entries(np.array([True, False]))[1] == [None]
 
 
 def test_positions_past_2_63_cells_keep_their_place():

@@ -249,7 +249,8 @@ def test_single_polynomial_filter_diagonalizes():
 
 @pytest.mark.parametrize(
     "coeffs",
-    [{"alpha0": float("nan")}, {"down_coeffs": (0.1, float("inf"))}, {"up_coeffs": (-float("inf"),)}],
+    [{"alpha0": float("nan")}, {"down_coeffs": (0.1, float("inf"))}, {"up_coeffs": (-float("inf"),)},
+     {"down_coeffs": ("2",)}, {"down_coeffs": (True,)}, {"alpha0": "2"}, {"up_coeffs": (np.True_,)}],
 )
 def test_filter_spec_rejects_non_finite_coefficients(coeffs):
     with pytest.raises(ValueError, match="^filter coefficients must be finite$"):

@@ -58,7 +58,7 @@ def test_inner_product_shape_errors():
         )
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, "1", True, None])
 def test_weights_must_be_finite_and_positive(bad):
     with pytest.raises(ValueError, match="finite and positive"):
         InnerProductWeights({1: [bad, 1.0, 1.0]})

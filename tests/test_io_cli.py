@@ -19,8 +19,9 @@ import hodgekit
 from hodgekit import Field, Simplex, SparseMatrix, betti, check_consistency
 from hodgekit import generators, io
 from hodgekit.cli import build_parser, main
-from hodgekit.errors import BadParams, FormatError
+from hodgekit.errors import BadParams, FormatError, HodgekitError, NumericalFailure
 from hodgekit.hodge import InnerProductWeights
+from hodgekit.sheaf import Sheaf
 
 from conftest import CORPUS_TOPS, LEFT_SHIFT, DROP_LAST, TORSION, random_clique_complex
 
@@ -746,6 +747,12 @@ def _stalks_past_int64(sheaf):
     sheaf["restrictions"].clear()
 
 
+def _unknown_key_beside_bool(sheaf):
+    """Two faults; Sheaf's order reports the stalk key before the map's numbers."""
+    sheaf["stalks"]["[7]"] = 1
+    _bad_matrix([[True, 1.0, 0.0], [0.0, 0.0, 1.0]])(sheaf)
+
+
 FLOAT_MAX = sys.float_info.max
 
 # Every way a sheaf file fails to parse or validate: each must exit 2.
@@ -801,12 +808,14 @@ SHEAF_FILE_ERRORS = {
     "restriction not an object": _set(["restrictions", 0], [[0], [0, 1]]),
     "restrictions not a list": _set(["restrictions"], {}),
     "stalks not an object": _set(["stalks"], []),
+    "stalk key unknown beside a bool entry": _unknown_key_beside_bool,
 }
 # Text that a case's error must contain, for the cases that pin it.
 SHEAF_FILE_MESSAGES = {
     "ragged rows": "restrictions[0].matrix rows must all have the same length",
     "transposed block": "(Simplex(0,), Simplex(0, 1)) has shape (3, 2), expected (2, 3)",
     "stalk dimension true beside its int": "stalk dimension for Simplex(0, 1) must be a non-negative",
+    "stalk key unknown beside a bool entry": "error: Simplex(7,) is not in the complex",
 }
 
 
@@ -820,6 +829,27 @@ def test_cli_sheaf_file_errors_exit_2(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert SHEAF_FILE_MESSAGES.get(case, "") in captured.err
+
+
+# The SHEAF_FILE_ERRORS cases that edit a matrix's value.
+MATRIX_VALUE_ERRORS = [
+    "bool entry", "string entry", "null entry", "NaN entry", "Infinity entry", "integer past float range",
+    "integer just past float range", "ragged rows", "row not a list", "matrix not a list",
+]
+
+
+@pytest.mark.parametrize("case", MATRIX_VALUE_ERRORS)
+def test_sheaf_from_python_refuses_each_matrix_a_file_refuses(tmp_path, case):
+    """Sheaf owns the number rule: the file's pairs, handed over as read, fail in the library too."""
+    complex_file, sheaf_file = shift_register_files(tmp_path)
+    sheaf = json.loads(Path(sheaf_file).read_text(encoding="utf-8"))
+    SHEAF_FILE_ERRORS[case](sheaf)
+    sheaf = json.loads(json.dumps(sheaf))  # as the file reads back: NaN and Infinity included
+    stalks = [(json.loads(key), dim) for key, dim in sheaf["stalks"].items()]
+    maps = [((r["face"], r["coface"]), r["matrix"]) for r in sheaf["restrictions"]]
+    with pytest.raises((ValueError, HodgekitError)) as err:
+        Sheaf(io.parse_complex(io.load_json(complex_file)), stalks, maps)
+    assert not isinstance(err.value, NumericalFailure)
 
 
 IO_ERRORS = {

@@ -1,5 +1,7 @@
 """Sheaves: validation, coboundaries, consistency, cohomology, Laplacians."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,7 +212,7 @@ def test_restriction_maps_with_two_axes_must_have_the_pairs_shape():
     line = build_complex([[0, 1]])
     stalks = {(0,): 3, (1,): 3, (0, 1): 2}
     right = np.arange(6.0).reshape(2, 3)
-    for wrong in (right.T, right.reshape(1, 6)):
+    for wrong in (right.T, right.reshape(1, 6), right.reshape(2, 1, 3)):
         with pytest.raises(ShapeMismatch) as err:
             Sheaf(line, stalks, {((0,), (0, 1)): wrong, ((1,), (0, 1)): right})
         assert str(err.value).endswith(f"has shape {wrong.shape}, expected (2, 3)")
@@ -242,8 +244,16 @@ def test_one_entry_past_a_huge_run_of_empty_rows_needs_no_dense_array():
     assert sheaf_cohomology_dims(c, sh) == [1, 2**62]
 
 
-@pytest.mark.parametrize("bad", [[[1, 2], [3]], "ab", [[10**400, 0], [0, 1]], {}],
-                         ids=["ragged", "string", "past float range", "dict"])
+FLOAT_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[[1, 2], [3]], "ab", [[10**400, 0], [0, 1]], {}, "12", [[True, 0], [0, 1]],
+     np.array([[True, False], [False, True]]), [[None, 0], [0, 1]], [[int(FLOAT_MAX) + 1, 0], [0, 1]]],
+    ids=["ragged", "string", "past float range", "dict", "numeric string", "bools", "bool array",
+         "None", "just past float range"],
+)
 def test_a_map_that_is_not_an_array_of_numbers_names_its_pair(bad):
     edge = build_complex([[0, 1]])
     maps = {((0,), (0, 1)): bad, ((1,), (0, 1)): [[1, 0], [0, 1]]}
