@@ -3,15 +3,16 @@
 The sparse matrix here is the carrier for every operator in the package:
 boundary maps, Laplacians, filters, and sheaf coboundaries.  Matrices are
 immutable values held as coordinate arrays sorted by position.  Every
-operation builds its result through SparseMatrix.from_coo, which sums in
-the tagged field (mod 2 for GF(2), float64 with a zero threshold of 1e-12
-for the reals) and rejects NaN and infinite entries.
+operation builds its result through SparseMatrix.from_coo, which sorts by one int64
+key (row * cols + col, or ranks past 2**63 cells), sums in the tagged field (mod 2
+for GF(2), float64 with a zero threshold of 1e-12) and rejects NaN and infinities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -32,30 +33,43 @@ class Field(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Cochain:
-    """A value vector aligned to the canonical order of the n-simplices."""
+    """A value vector aligned to the canonical order of the n-simplices.  Values other than an int
+    or float ndarray meet _finite_reals's type rule, else ValueError; NaN and infinity pass."""
 
     dimension: int
     values: np.ndarray
     field: Field = Field.REAL
 
     def __post_init__(self) -> None:
-        gf2 = self.field is Field.GF2
-        vals = np.asarray(self.values) % 2 if gf2 else self.values
-        object.__setattr__(self, "values", np.asarray(vals, np.uint8 if gf2 else np.float64))
+        gf2, v = self.field is Field.GF2, self.values
+        if not (type(v) is np.ndarray and v.dtype.kind in "iuf") and _finite_reals(list(v), False) is None:
+            raise ValueError("cochain values must be ints or floats, not bools, strings or None")
+        v = np.asarray(v) % 2 if gf2 else v
+        object.__setattr__(self, "values", np.asarray(v, np.uint8 if gf2 else np.float64))
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def _finite_reals(leaves: list) -> np.ndarray | None:
-    """The leaves as float64, or None unless each is a finite Python or numpy int or
-    float, never a bool, str or None; a Python int in float range exactly, unrounded."""
+def _finite_reals(leaves: list, finite: bool = True) -> np.ndarray | None:
+    """The leaves as float64, or None unless each is a Python or numpy int or float (finite, unless
+    not finite), never a bool, str or None; a Python int in float range exactly, unrounded."""
     kinds = set(map(type, leaves))
     real = all(t in (int, float) or issubclass(t, (np.integer, np.floating)) for t in kinds)
     if not real or int in kinds and not all(abs(v) <= FLOAT_MAX for v in leaves if type(v) is int):
         return None
     values = np.fromiter(leaves, np.float64, len(leaves))
-    return values if np.isfinite(values).all() else None
+    return values if not finite or np.isfinite(values).all() else None
+
+
+def _grids(ms) -> np.ndarray | None:
+    """(rows, row length) of each m, (0, 0) if empty; None unless each is a list of equal-length lists."""
+    rows = list(chain.from_iterable(ms)) if set(map(type, ms)) <= {list} else [None]
+    if not set(map(type, rows)) <= {list}:
+        return None
+    count, length = (np.fromiter(map(len, x), np.int64, len(x)) for x in (ms, rows))
+    width = np.where(count > 0, np.append(length, 0)[np.cumsum(count) - count], 0)  # first row's
+    return np.stack([count, width], axis=1) if (np.repeat(width, count) == length).all() else None
 
 
 def _entries(m) -> tuple[tuple[int, ...], list]:
@@ -96,22 +110,22 @@ class SparseMatrix:
     def from_coo(cls, rows: int, cols: int, row, col, data, field_tag: Field) -> SparseMatrix:
         """Matrix from coordinate arrays in any order; repeats are summed in order.
 
-        GF(2) sums are reduced mod 2 and real sums with |v| <= REAL_ZERO_TOL
-        dropped.  Raises ShapeMismatch for a position outside rows x cols
-        and ValueError for a NaN or infinite sum.
+        Positions sort by one stable int64 key, row * cols + col (by row and column ranks
+        on a shape of 2**63 cells or more, where it would wrap).  GF(2) sums are reduced
+        mod 2 and real sums with |v| <= REAL_ZERO_TOL dropped.  Raises ShapeMismatch for a
+        position outside rows x cols and ValueError for a NaN or infinite sum.
         """
         row, col = (np.asarray(x, dtype=np.int64) for x in (row, col))
         outside = (row < 0) | (row >= rows) | (col < 0) | (col >= cols)
         if outside.any():
             r, c = row[outside][0], col[outside][0]
             raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
-        order = np.lexsort((col, row))  # by (row, col)
-        r, c = row[order], col[order]
-        first = np.ones(len(r), bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        slot = np.empty_like(order)
-        slot[order] = np.cumsum(first) - 1
-        r, c = r[first], c[first]
+        wide = int(rows) * int(cols) >= 2**63  # row * cols would wrap: key by ranks instead
+        (_, i), (at, j) = (np.unique(a, return_inverse=True) if wide else (a, a) for a in (row, col))
+        key = i * (len(at) if wide else int(cols)) + j
+        # With return_index the key sorts stably: each position's first entry gives its (row, col).
+        _, first, slot = np.unique(key, return_index=True, return_inverse=True)
+        r, c = row[first], col[first]
         sums = np.bincount(slot, np.asarray(data, dtype=np.float64), len(r))
         finite = np.isfinite(sums)
         if not finite.all():

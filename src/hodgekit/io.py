@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .chains import Cochain, SparseMatrix, _finite_reals
+from .chains import Cochain, SparseMatrix, _finite_reals, _grids
 from .complex import Simplex, SimplicialComplex, build_complex
 from .errors import FormatError, HodgekitError
 from .filters import FilterSpec
@@ -136,15 +136,18 @@ def parse_sheaf(obj: Any, c: SimplicialComplex) -> Sheaf:
     if not isinstance(obj["stalks"], dict):
         raise FormatError('"stalks" must be an object')
     stalks = _Pairs((_stalk_key(key), dim) for key, dim in obj["stalks"].items())
-    maps = []
-    for i, entry in enumerate(_list(obj["restrictions"], '"restrictions"')):
-        _require_keys(entry, {"face", "coface", "matrix"}, f"restrictions[{i}]")
-        face = _list(entry["face"], f"restrictions[{i}].face")
-        coface = _list(entry["coface"], f"restrictions[{i}].coface")
-        matrix = _list(entry["matrix"], f"restrictions[{i}].matrix")
-        if not set(map(type, matrix)) <= {list} or len(set(map(len, matrix))) > 1:
-            raise FormatError(f"restrictions[{i}].matrix rows must all have the same length and be lists")
-        maps.append(((face, coface), matrix))
+    entries, fields = _list(obj["restrictions"], '"restrictions"'), ("face", "coface", "matrix")
+    # The whole file at once; entry by entry only when that fails, to name the first bad entry.
+    whole = all(isinstance(e, dict) for e in entries) and {*map(frozenset, entries)} <= {frozenset(fields)}
+    faces, cofaces, matrices = ([e[k] for e in entries] if whole else [None] for k in fields)
+    if not set(map(type, faces + cofaces + matrices)) <= {list} or _grids(matrices) is None:
+        for i, entry in enumerate(entries):
+            _require_keys(entry, set(fields), what := f"restrictions[{i}]")
+            for key in fields:
+                _list(entry[key], f"{what}.{key}")
+            if _grids([entry["matrix"]]) is None:
+                raise FormatError(f"{what}.matrix rows must all have the same length and be lists")
+    maps = list(zip(zip(faces, cofaces), matrices))
     try:  # Sheaf checks labels, stalks and the maps' numbers, and keeps the last of repeats
         return Sheaf(c, stalks, maps)
     except ValueError as exc:

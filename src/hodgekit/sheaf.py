@@ -13,11 +13,12 @@ the simplicial operators exactly.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chains import (Cochain, Field, SparseMatrix, _entries, _finite_reals, _runs, apply,
+from .chains import (Cochain, Field, SparseMatrix, _entries, _finite_reals, _grids, _runs, apply,
                      coboundary_matrix, compose)
 from .complex import Simplex
 from .errors import (
@@ -95,16 +96,18 @@ class Sheaf:
 
         if (face_dim != dim - 1).any():
             raise ValueError(f"{pair(np.argmax(face_dim != dim - 1))} is not an incident pair")
-        given = list(map(_entries, matrices))
-        data = _finite_reals([v for _, e in given for v in e])
-        if data is None:  # name the first map that fails the number rule
-            k = next(k for k, (_, e) in enumerate(given) if _finite_reals(e) is None)
+        shape = _grids(matrices)
+        if shape is not None and shape[:, 0].all():  # non-empty lists of equally long lists: at once
+            size, leaves = shape.prod(axis=1), list(chain.from_iterable(chain.from_iterable(matrices)))
+        else:  # any other form map by map
+            shapes, entries = zip(*map(_entries, matrices))
+            # (rows, cols) of a 2-D map; a flat one's (-1, -1) needs only its count; (-2, -2) fits no pair.
+            shape = np.array([s if len(s) == 2 else (-1, -1) if len(s) == 1 else (-2, -2) for s in shapes])
+            size, leaves = np.array([len(e) for e in entries]), list(chain.from_iterable(entries))
+        if (data := _finite_reals(leaves)) is None:  # name the first map that fails the number rule
+            k = next(k for k, m in enumerate(matrices) if _finite_reals(_entries(m)[1]) is None)
             raise ValueError(f"restriction {pair(k)} is not an array of finite numbers")
-        size = np.fromiter((len(e) for _, e in given), np.int64, len(given))
         source = np.cumsum(size) - size
-        # (rows, cols) of a 2-D map; a flat one's (-1, -1) needs only its count; (-2, -2) fits no pair.
-        shape = [s if len(s) == 2 else (-1, -1) if len(s) == 1 else (-2, -2) for s, _ in given]
-        shape = np.array(shape, np.int64).reshape(-1, 2)
         self._delta = []
         for n in range(1, c.max_dim + 1):
             table, at = c.face_table(n), np.flatnonzero(dim == n)
@@ -118,7 +121,7 @@ class Sheaf:
             wrong |= (shape[at, 0] != -1) & (shape[at] != want).any(axis=1)
             if wrong.any():
                 k = np.argmax(wrong)
-                got, expected = given[at[k]][0], tuple(want[k].tolist())
+                got, expected = _entries(matrices[at[k]])[0], tuple(want[k].tolist())
                 raise ShapeMismatch(f"restriction {pair(at[k])} has shape {got}, expected {expected}")
             missing = ((stalks[n][:, None] > 0) & (stalks[n - 1][table] > 0)).ravel()
             missing[cell] = False

@@ -19,7 +19,7 @@ from hodgekit import (
     transpose,
 )
 from hodgekit import generators as gen
-from hodgekit.chains import _entries, _finite_reals
+from hodgekit.chains import REAL_ZERO_TOL, _entries, _finite_reals
 from hodgekit.errors import DimensionOutOfRange, FieldMismatch, ShapeMismatch
 
 from conftest import random_complex
@@ -260,6 +260,60 @@ def test_positions_past_2_63_cells_keep_their_place():
     assert (g.row.tolist(), g.col.tolist(), g.data.tolist()) == ([0], [0], [1])
     with pytest.raises(ValueError, match=rf"^non-finite entry at \(1, {huge - 1}\)$"):
         SparseMatrix.from_coo(2, huge, [0, 1], [5, huge - 1], [1.0, float("nan")], Field.REAL)
+
+
+def test_cochain_values_meet_the_number_rule():
+    """A float or integer array is kept as given; other values follow _finite_reals's
+    type rule, while NaN and infinities pass (hodge_decompose reports them)."""
+    values = np.arange(3.0)
+    assert Cochain(0, values).values is values
+    assert Cochain(0, [1, 2.5, np.int64(-3), np.float32(0.5)]).values.tolist() == [1.0, 2.5, -3.0, 0.5]
+    assert np.isnan(Cochain(0, [float("nan")]).values[0])
+    assert Cochain(0, [2**60 + 1, 3], Field.GF2).values.tolist() == [1, 1]
+    for bad in (["1", "2"], [True], [np.True_], [None], [[1.0]], [10**400], np.array(["1"]), np.array([True])):
+        with pytest.raises(ValueError, match="^cochain values must be ints or floats"):
+            Cochain(0, bad)
+
+
+def coo_reference(rows, cols, row, col, data, field_tag):
+    """from_coo by a dict summing in input order and one np.lexsort of the positions."""
+    sums = {}
+    for r, c, v in zip(row, col, data):
+        sums[r, c] = sums.get((r, c), 0.0) + float(v)
+    r, c = (np.array([p[k] for p in sums], np.int64) for k in (0, 1))
+    order = np.lexsort((c, r))
+    r, c, v = r[order], c[order], np.array(list(sums.values()), np.float64)[order]
+    v = v.astype(np.int64) % 2 if field_tag is Field.GF2 else v
+    keep = ~(np.abs(v) <= REAL_ZERO_TOL)
+    return r[keep], c[keep], v[keep].astype(np.uint8 if field_tag is Field.GF2 else np.float64)
+
+
+# Past 2**63 cells from_coo sorts by row and column ranks, since row * cols + col would wrap.
+HUGE_SHAPES = [(2**62 + 1, 3), (3, 2**62 + 1), (2**62, 2**62), (2**63 - 1, 2**63 - 1)]
+
+
+@given(
+    data=st.data(),
+    field_tag=st.sampled_from(list(Field)),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5)) | st.sampled_from(HUGE_SHAPES),
+    int64_shape=st.booleans(),
+)
+def test_from_coo_matches_dict_and_lexsort_reference(data, field_tag, shape, int64_shape):
+    """Repeated positions sum in input order, so rounding is the reference's bit for bit."""
+    rows, cols = shape
+    spots = data.draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                               min_size=1, max_size=6))
+    if field_tag is Field.GF2:
+        value = st.integers(-3, 3)
+    else:
+        value = st.floats(-1e6, 1e6) | st.sampled_from([0.1, -0.1, 1e-13, -1e-13, 0.0, -0.0])
+    entries = data.draw(st.lists(st.tuples(st.sampled_from(spots), value), max_size=24))
+    row, col, vals = [p[0] for p, _ in entries], [p[1] for p, _ in entries], [v for _, v in entries]
+    size = (np.int64(rows), np.int64(cols)) if int64_shape else (rows, cols)
+    m = SparseMatrix.from_coo(*size, row, col, vals, field_tag)
+    assert m.shape == (rows, cols) and type(m.rows) is type(m.cols) is int
+    for got, want in zip((m.row, m.col, m.data), coo_reference(rows, cols, row, col, vals, field_tag)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def dense_accumulation(shape, triplets, field_tag):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodgekit import (
     Cochain,
@@ -21,6 +21,7 @@ from hodgekit import (
     shift,
 )
 from hodgekit.chains import REAL_ZERO_TOL
+from hodgekit.filters import MAGNITUDE_WARN
 from hodgekit.errors import ShapeMismatch
 
 from conftest import CORPUS, gauge_sheaf, random_clique_complex
@@ -118,6 +119,9 @@ OPERATOR_CASES = operator_cases()
 COEFFS = st.lists(st.floats(-2, 2, allow_nan=False), max_size=8)
 
 
+GAUGE_SHEAF_0 = next(case for case in OPERATOR_CASES if case[0] == "gauge-sheaf-0")
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     case=st.sampled_from(OPERATOR_CASES),
@@ -126,12 +130,26 @@ COEFFS = st.lists(st.floats(-2, 2, allow_nan=False), max_size=8)
     up=COEFFS,
     seed=st.integers(0, 2**32 - 1),
 )
+# lambda_max is about 28 here, so 2 L^8 s peaks above 1e12 times s: filter_signal warns.
+@example(case=GAUGE_SHEAF_0, alpha0=0.0, down=[], up=[0.0] * 7 + [2.0], seed=5)
 def test_filter_signal_matches_built_matrix(case, alpha0, down, up, seed):
     _, ops = case
     spec = FilterSpec(ops.dimension, alpha0, tuple(down), tuple(up))
     s = Cochain(ops.dimension, np.random.default_rng(seed).standard_normal(ops.size))
-    want = apply_filter(build_filter(spec, ops), s).values
-    got = filter_signal(spec, ops, s).values
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        h = build_filter(spec, ops)
+        want = apply_filter(h, s).values
+        got = filter_signal(spec, ops, s).values
+    # Each warning is a documented magnitude warning, given exactly where its condition holds.
+    conditions = {
+        "matrix magnitude exceeds 1e12": np.max(np.abs(h.data), initial=0.0) > MAGNITUDE_WARN,
+        "output magnitude exceeds 1e12 times the input's":
+            not np.max(np.abs(got), initial=0.0) <= MAGNITUDE_WARN * np.max(np.abs(s.values)),
+    }
+    expected = [f"filter {text}; iterated Laplacian powers grow as lambda_max^k"
+                for text, holds in conditions.items() if holds]
+    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, m) for m in expected]
     # The built H drops entries of magnitude at most REAL_ZERO_TOL, which
     # moves each output entry by at most REAL_ZERO_TOL * |s|_1.
     dropped = REAL_ZERO_TOL * np.sqrt(ops.size) * np.sum(np.abs(s.values))

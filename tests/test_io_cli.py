@@ -831,6 +831,60 @@ def test_cli_sheaf_file_errors_exit_2(tmp_path, capsys, case):
     assert SHEAF_FILE_MESSAGES.get(case, "") in captured.err
 
 
+def long_shift_register(edges):
+    """The shift-register sheaf on the line 0-1-...-edges: restrictions 2v and 2v + 1 go
+    from vertices v and v + 1 to the edge [v, v + 1]."""
+    stalks = {**{f"[{v}]": 3 for v in range(edges + 1)}, **{f"[{v},{v + 1}]": 2 for v in range(edges)}}
+    restrictions = [
+        {"face": [v + side], "coface": [v, v + 1], "matrix": (DROP_LAST if side else LEFT_SHIFT).tolist()}
+        for v in range(edges) for side in (0, 1)
+    ]
+    return {"top_simplices": [[v, v + 1] for v in range(edges)]}, {"stalks": stalks, "restrictions": restrictions}
+
+
+def _drop_matrix(k):
+    def edit(restrictions):
+        del restrictions[k]["matrix"]
+    return edit
+
+
+def _set_matrix(k, value):
+    def edit(restrictions):
+        restrictions[k]["matrix"] = value
+    return edit
+
+
+# A fault past entry 0: the whole-file check fails, and the entry-by-entry check names it.
+LATER_ENTRY_ERRORS = {
+    "missing matrix in restrictions[3]": (_drop_matrix(3), "error: restrictions[3] is missing fields: ['matrix']"),
+    "ragged rows in restrictions[2]": (
+        _set_matrix(2, [[0, 1, 0], [0, 1]]), "error: restrictions[2].matrix rows must all have the same length"
+    ),
+    "bool in the last map": (
+        _set_matrix(7, [[True, 0, 0], [0, 1, 0]]),
+        "restriction (Simplex(4,), Simplex(3, 4)) is not an array of finite numbers",
+    ),
+    "transposed block in map 5": (
+        _set_matrix(5, DROP_LAST.T.tolist()), "(Simplex(3,), Simplex(2, 3)) has shape (3, 2), expected (2, 3)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATER_ENTRY_ERRORS))
+def test_cli_names_a_bad_restriction_past_the_first(tmp_path, capsys, case):
+    complex_obj, sheaf = long_shift_register(4)
+    complex_file = write_json(tmp_path / "line.json", complex_obj)
+    sheaf_file = write_json(tmp_path / "sheaf.json", sheaf)
+    assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 0
+    capsys.readouterr()
+    edit, message = LATER_ENTRY_ERRORS[case]
+    edit(sheaf["restrictions"])
+    write_json(tmp_path / "sheaf.json", sheaf)
+    assert main(["sheaf-cohomology", complex_file, sheaf_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+
 # The SHEAF_FILE_ERRORS cases that edit a matrix's value.
 MATRIX_VALUE_ERRORS = [
     "bool entry", "string entry", "null entry", "NaN entry", "Infinity entry", "integer past float range",

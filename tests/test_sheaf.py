@@ -261,6 +261,34 @@ def test_a_map_that_is_not_an_array_of_numbers_names_its_pair(bad):
         Sheaf(edge, {(0,): 2, (1,): 2, (0, 1): 2}, maps)
 
 
+def test_every_map_form_builds_the_same_coboundaries():
+    """Lists of equally long rows are read all at once; arrays, flat lists and a mix
+    of forms go map by map.  Gauge maps g_t g_s^T commute on the two filled triangles."""
+    c = build_complex([[0, 1, 2], [1, 2, 3]])
+    rng = np.random.default_rng(7)
+    simplices = [s for n in range(3) for s in c.simplices(n)]
+    g = {s: np.linalg.qr(rng.standard_normal((2, 2)))[0] for s in simplices}
+    pairs = [(f, t) for n in (1, 2) for t in c.simplices(n) for f in t.faces()]
+    stalks = {s: 2 for s in simplices}
+    arrays = {(f, t): g[t] @ g[f].T for f, t in pairs}
+    rows = Sheaf(c, stalks, {k: m.tolist() for k, m in arrays.items()})
+    forms = [arrays, {k: m.ravel().tolist() for k, m in arrays.items()},
+             {k: m if k == pairs[3] else m.tolist() for k, m in arrays.items()}]
+    for maps in forms:
+        other = Sheaf(c, stalks, maps)
+        assert all(a == b for a, b in zip(rows._delta, other._delta))
+
+
+def test_an_empty_list_beside_lists_of_rows_is_a_flat_map():
+    """[] has no rows, so it is read as a flat map with no entries, which fits a pair whose
+    coface stalk is 0; [[], []] is two empty rows, a 2 x 0 map."""
+    path = build_complex([[0, 1], [1, 2]])
+    stalks = {(0,): 2, (1,): 0, (2,): 1, (0, 1): 0, (1, 2): 2}
+    sh = Sheaf(path, stalks, {((0,), (0, 1)): [], ((1,), (1, 2)): [[], []], ((2,), (1, 2)): [[1], [2]]})
+    assert sh.restriction(Simplex((2,)), Simplex((1, 2))).tolist() == [[1.0], [2.0]]
+    assert sheaf_cohomology_dims(path, sh) == [2, 1]
+
+
 def test_block_checks_compare_each_axis_so_no_stalk_product_wraps():
     """stalk(coface) * stalk(face) is 2**64 here, which is 0 in int64."""
     edge = build_complex([[0, 1]])
