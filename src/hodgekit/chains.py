@@ -113,9 +113,12 @@ class SparseMatrix:
         Positions sort by one stable int64 key, row * cols + col (by row and column ranks
         on a shape of 2**63 cells or more, where it would wrap).  GF(2) sums are reduced
         mod 2 and real sums with |v| <= REAL_ZERO_TOL dropped.  Raises ShapeMismatch for a
-        position outside rows x cols and ValueError for a NaN or infinite sum.
+        position outside rows x cols, ValueError for unequal lengths or a NaN or infinite sum.
         """
         row, col = (np.asarray(x, dtype=np.int64) for x in (row, col))
+        values = np.asarray(data, dtype=np.float64)
+        if not row.ndim == 1 or not row.shape == col.shape == values.shape:
+            raise ValueError("row, col and data must be flat and of one length")
         outside = (row < 0) | (row >= rows) | (col < 0) | (col >= cols)
         if outside.any():
             r, c = row[outside][0], col[outside][0]
@@ -123,10 +126,13 @@ class SparseMatrix:
         wide = int(rows) * int(cols) >= 2**63  # row * cols would wrap: key by ranks instead
         (_, i), (at, j) = (np.unique(a, return_inverse=True) if wide else (a, a) for a in (row, col))
         key = i * (len(at) if wide else int(cols)) + j
-        # With return_index the key sorts stably: each position's first entry gives its (row, col).
-        _, first, slot = np.unique(key, return_index=True, return_inverse=True)
-        r, c = row[first], col[first]
-        sums = np.bincount(slot, np.asarray(data, dtype=np.float64), len(r))
+        order = np.argsort(key, kind="stable")  # a position's entries stay in input order
+        key = key[order]
+        new = np.empty(len(key), bool)  # where each position starts, in key order
+        new[:1], new[1:] = True, key[1:] != key[:-1]
+        del key  # no longer needed: free it before the slot and value arrays
+        r, c, slot = row[order[new]], col[order[new]], np.cumsum(new) - 1
+        sums = np.bincount(slot, values[order], len(r))
         finite = np.isfinite(sums)
         if not finite.all():
             raise ValueError(f"non-finite entry at {(int(r[~finite][0]), int(c[~finite][0]))}")
@@ -251,11 +257,11 @@ def compose(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     if a.cols != b.rows:
         raise ShapeMismatch(f"inner dimensions differ: {a.cols} vs {b.rows}")
     lo, hi = np.searchsorted(b.row, a.col), np.searchsorted(b.row, a.col, side="right")
-    i, offset = _runs(hi - lo)
-    k = lo[i] + offset
-    return SparseMatrix.from_coo(
-        a.rows, b.cols, a.row[i], b.col[k], a.data[i] * b.data[k], a.field_tag
-    )
+    i, k = _runs(hi - lo)
+    k += lo[i]  # b's entry for each product
+    row, col, data = a.row[i], b.col[k], a.data[i] * b.data[k]
+    del i, k  # gone before from_coo sorts: products are the largest arrays of a Laplacian
+    return SparseMatrix.from_coo(a.rows, b.cols, row, col, data, a.field_tag)
 
 
 def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

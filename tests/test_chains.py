@@ -262,6 +262,17 @@ def test_positions_past_2_63_cells_keep_their_place():
         SparseMatrix.from_coo(2, huge, [0, 1], [5, huge - 1], [1.0, float("nan")], Field.REAL)
 
 
+@pytest.mark.parametrize("row, col, data", [
+    ([0], [0, 1], [1.0, 2.0]),  # one row would broadcast against the columns
+    ([0, 1], [0, 1], [1.0]),
+    ([0, 1], [0, 1], [1.0, 2.0, 3.0]),  # a spare value would be dropped unseen
+    ([[0], [1]], [[0], [1]], [[1.0], [2.0]]),
+])
+def test_from_coo_needs_flat_arrays_of_one_length(row, col, data):
+    with pytest.raises(ValueError, match="^row, col and data must be flat and of one length$"):
+        SparseMatrix.from_coo(3, 3, row, col, data, Field.REAL)
+
+
 def test_cochain_values_meet_the_number_rule():
     """A float or integer array is kept as given; other values follow _finite_reals's
     type rule, while NaN and infinities pass (hodge_decompose reports them)."""
