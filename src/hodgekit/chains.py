@@ -110,13 +110,15 @@ class SparseMatrix:
     def from_coo(cls, rows: int, cols: int, row, col, data, field_tag: Field) -> SparseMatrix:
         """Matrix from coordinate arrays in any order; repeats are summed in order.
 
-        Positions sort by one stable int64 key, row * cols + col (by row and column ranks
-        on a shape of 2**63 cells or more, where it would wrap).  GF(2) sums are reduced
-        mod 2 and real sums with |v| <= REAL_ZERO_TOL dropped.  Raises ShapeMismatch for a
-        position outside rows x cols, ValueError for unequal lengths or a NaN or infinite sum.
+        Positions sort by one stable int64 key, row * cols + col (by row and column ranks on a
+        shape of 2**63 cells or more, where it would wrap).  GF(2) sums are reduced mod 2 and real
+        sums with |v| <= REAL_ZERO_TOL dropped.  Raises ShapeMismatch for a position outside the
+        shape, ValueError for a negative shape, non-integer positions, unequal lengths or a non-finite sum.
         """
-        row, col = (np.asarray(x, dtype=np.int64) for x in (row, col))
-        values = np.asarray(data, dtype=np.float64)
+        row, col, values = np.asarray(row), np.asarray(col), np.asarray(data, dtype=np.float64)
+        if min(rows, cols) < 0 or row.size and {row.dtype.kind, col.dtype.kind} - {"i", "u"}:
+            raise ValueError(f"need shape >= 0, integer positions: {rows}x{cols}, {row.dtype}, {col.dtype}")
+        row, col = row.astype(np.int64, copy=False), col.astype(np.int64, copy=False)
         if not row.ndim == 1 or not row.shape == col.shape == values.shape:
             raise ValueError("row, col and data must be flat and of one length")
         outside = (row < 0) | (row >= rows) | (col < 0) | (col >= cols)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .chains import Cochain, Field, SparseMatrix, _finite_reals, apply
-from .errors import ShapeMismatch
+from .errors import FieldMismatch, ShapeMismatch
 from .hodge import HodgeOperators
 
 MAX_DEGREE = 64
@@ -96,8 +96,10 @@ def filter_signal(spec: FilterSpec, ops: HodgeOperators, s: Cochain) -> Cochain:
     """H s by sparse mat-vecs with the Laplacians, without forming H.
 
     Warns when the output peak is above 1e12 times the input peak or is not
-    finite.
+    finite.  A GF(2) signal raises FieldMismatch.
     """
+    if s.field is not Field.REAL:
+        raise FieldMismatch("filter_signal needs a real cochain")
     if len(s) != ops.size:
         raise ShapeMismatch(f"operators have size {ops.size}, cochain length {len(s)}")
     out = _evaluate(

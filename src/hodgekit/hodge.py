@@ -35,7 +35,7 @@ from .chains import (
     coboundary_matrix,
     compose,
 )
-from .errors import DimensionOutOfRange, NumericalFailure, ShapeMismatch
+from .errors import DimensionOutOfRange, FieldMismatch, NumericalFailure, ShapeMismatch
 from .homology import _check_tol
 from .spectral import HARMONIC_RTOL, eigendecompose
 
@@ -262,9 +262,11 @@ def hodge_decompose(
     or infinity in the signal.  The work is done on s divided by a power of
     two that brings its largest entry into [0.5, 1), so scaling s by a
     power of two scales the parts exactly.  A NaN, infinite or negative tol
-    raises ValueError.
+    raises ValueError, and a GF(2) signal FieldMismatch.
     """
     _check_tol(tol)
+    if s.field is not Field.REAL:
+        raise FieldMismatch("hodge_decompose needs a real cochain")
     if s.dimension != n:
         raise ShapeMismatch(f"signal dimension {s.dimension} != {n}")
     if len(s) != c.n_simplices(n):

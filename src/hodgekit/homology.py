@@ -9,8 +9,9 @@ sparsely, column by column and top-down with clearing, by one driver over
 a per-field column kernel: bitset columns over GF(2), and {row: value}
 columns mod one prime, 2**61 - 1, over the rationals.  A difference between
 the GF(2) and rational Betti numbers is 2-torsion, not numerical trouble.
-Tolerance-based real elimination remains for real-valued matrices such as
-sheaf coboundaries.
+GF(2) diagonal reduction works on bitset rows, with no dense copy; the check
+of its op logs, replay_gf2_ops, stays dense.  Tolerance-based real
+elimination serves real-valued matrices such as sheaf coboundaries.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chains import Field, SparseMatrix, boundary_matrix
+from .chains import Field, SparseMatrix, boundary_matrix, transpose
 from .errors import FieldMismatch
 
 if TYPE_CHECKING:
@@ -97,31 +98,27 @@ def snf_gf2(m: SparseMatrix) -> tuple[int, list[RowOp], list[RowOp]]:
     """
     if m.field_tag is not Field.GF2:
         raise FieldMismatch("snf_gf2 needs a GF(2) matrix")
-    a = m.toarray()
-    rows, cols = a.shape
+    rows = _gf2_columns(transpose(m))  # bit j of rows[i] is entry (i, j)
     row_ops: list[RowOp] = []
     col_ops: list[RowOp] = []
-    k = 0
-    while k < min(rows, cols):
-        nz_rows, nz_cols = np.nonzero(a[k:, k:])
-        if nz_rows.size == 0:
-            break
-        r, c = k + int(nz_rows[0]), k + int(nz_cols[0])
+    k = 0  # pivot: the first row with a bit at or past k, at its lowest such bit
+    while (r := next((i for i in range(k, len(rows)) if rows[i] >> k), None)) is not None:
+        tail = rows[r] >> k
+        c = k + (tail & -tail).bit_length() - 1
         if r != k:
-            a[[k, r]] = a[[r, k]]
+            rows[k], rows[r] = rows[r], rows[k]
             row_ops.append(("swap", k, r))
-        if c != k:
-            a[:, [k, c]] = a[:, [c, k]]
+        if c != k:  # rows above k are already e_i, with neither bit
+            flip = 1 << k | 1 << c
+            rows[k:] = [x ^ flip if (x >> k ^ x >> c) & 1 else x for x in rows[k:]]
             col_ops.append(("swap", k, c))
-        # Row k and column k stay fixed while they are xored into the others.
-        (targets,) = a[:, k].nonzero()
-        targets = targets[targets != k]
-        a[targets] ^= a[k]
-        row_ops.extend(("add", k, int(i)) for i in targets)
-        (targets,) = a[k].nonzero()
-        targets = targets[targets != k]
-        a[:, targets] ^= a[:, [k]]
-        col_ops.extend(("add", k, int(j)) for j in targets)
+        # Row k is xored into the others; column k is then e_k, so a column add only clears (k, j).
+        for i in range(k + 1, len(rows)):
+            if rows[i] >> k & 1:
+                rows[i] ^= rows[k]
+                row_ops.append(("add", k, i))
+        col_ops.extend(("add", k, j) for j in range(k + 1, rows[k].bit_length()) if rows[k] >> j & 1)
+        rows[k] = 1 << k
         k += 1
     return k, row_ops, col_ops
 
@@ -131,16 +128,12 @@ def replay_gf2_ops(
 ) -> np.ndarray:
     """Apply logged row then column operations to a copy of m (dense)."""
     a = m.toarray()
-    for kind, i, j in row_ops:
-        if kind == "swap":
-            a[[i, j]] = a[[j, i]]
-        else:
-            a[j] ^= a[i]
-    for kind, i, j in col_ops:
-        if kind == "swap":
-            a[:, [i, j]] = a[:, [j, i]]
-        else:
-            a[:, j] ^= a[:, i]
+    for b, ops in ((a, row_ops), (a.T, col_ops)):  # the columns of a are the rows of a.T
+        for kind, i, j in ops:
+            if kind == "swap":
+                b[[i, j]] = b[[j, i]]
+            else:
+                b[j] ^= b[i]
     return a
 
 

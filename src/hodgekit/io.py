@@ -34,13 +34,13 @@ from .hodge import InnerProductWeights
 from .sheaf import Assignment, Sheaf
 
 
-def _require_keys(obj: dict, required: set[str], what: str, optional: set[str] = frozenset()) -> None:
+def _require_keys(obj: dict, required: set[str], what: str) -> None:
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a JSON object")
     missing = required - obj.keys()
     if missing:
         raise FormatError(f"{what} is missing fields: {sorted(missing)}")
-    unknown = obj.keys() - required - optional
+    unknown = obj.keys() - required
     if unknown:
         raise FormatError(f"{what} has unknown fields: {sorted(unknown)}")
 

@@ -94,8 +94,13 @@ class Sheaf:
         def pair(k: int) -> str:
             return f"({c.simplices(face_dim[k])[f[k]]}, {c.simplices(dim[k])[j[k]]})"
 
-        if (face_dim != dim - 1).any():
-            raise ValueError(f"{pair(np.argmax(face_dim != dim - 1))} is not an incident pair")
+        cells = np.full(len(keys), -1)  # each pair's face-table cell, -1 unless it is incident
+        for n in range(1, c.max_dim + 1):
+            at = np.flatnonzero((dim == n) & (face_dim == n - 1))
+            hit = c.face_table(n)[j[at]] == f[at, None]
+            cells[at] = np.where(hit.any(axis=1), j[at] * (n + 1) + hit.argmax(axis=1), -1)
+        if (cells < 0).any():
+            raise ValueError(f"{pair(np.argmax(cells < 0))} is not an incident pair")
         shape = _grids(matrices)
         if shape is not None and shape[:, 0].all():  # non-empty lists of equally long lists: at once
             size, leaves = shape.prod(axis=1), list(chain.from_iterable(chain.from_iterable(matrices)))
@@ -111,10 +116,6 @@ class Sheaf:
         self._delta = []
         for n in range(1, c.max_dim + 1):
             table, at = c.face_table(n), np.flatnonzero(dim == n)
-            hit = table[j[at]] == f[at, None]
-            if not hit.any(axis=1).all():
-                raise ValueError(f"{pair(at[np.argmin(hit.any(axis=1))])} is not an incident pair")
-            cell = j[at] * (n + 1) + hit.argmax(axis=1)
             want = np.stack([stalks[n][j[at]], stalks[n - 1][f[at]]], axis=1)
             count, rest = np.divmod(size[at], np.maximum(want[:, 1], 1))  # no product to wrap
             wrong = (rest != 0) | (count != np.where(want[:, 1] > 0, want[:, 0], 0))
@@ -124,13 +125,13 @@ class Sheaf:
                 got, expected = _entries(matrices[at[k]])[0], tuple(want[k].tolist())
                 raise ShapeMismatch(f"restriction {pair(at[k])} has shape {got}, expected {expected}")
             missing = ((stalks[n][:, None] > 0) & (stalks[n - 1][table] > 0)).ravel()
-            missing[cell] = False
+            missing[cells[at]] = False
             if missing.any():
                 row, i = divmod(int(np.argmax(missing)), n + 1)
                 omitted = (c.simplices(n - 1)[table[row, i]], c.simplices(n)[row])
                 raise MissingRestriction(f"no restriction map for {omitted}")
-            last = _last(cell)  # from_coo would sum the maps of a cell given twice
-            at, (coface, i) = at[last], np.divmod(cell[last], n + 1)
+            last = _last(cells[at])  # from_coo would sum the maps of a cell given twice
+            at, (coface, i) = at[last], np.divmod(cells[at[last]], n + 1)
             # Each map, row-major, at its coface's rows and its face's columns, times (-1)**i.
             row_off, col_off, face = self._offsets[n], self._offsets[n - 1], f[at]
             block_of, slot = _runs(size[at])

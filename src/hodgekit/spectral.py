@@ -82,6 +82,8 @@ def eigenvalues(L: SparseMatrix) -> np.ndarray:
 
 
 def _check_alignment(x: Cochain, basis: SpectralBasis) -> None:
+    if x.field is not Field.REAL:
+        raise FieldMismatch("the spectral transform needs a real cochain")
     if basis.dimension is not None and x.dimension != basis.dimension:
         raise ShapeMismatch(
             f"cochain dimension {x.dimension} != basis dimension {basis.dimension}"

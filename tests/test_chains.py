@@ -273,6 +273,30 @@ def test_from_coo_needs_flat_arrays_of_one_length(row, col, data):
         SparseMatrix.from_coo(3, 3, row, col, data, Field.REAL)
 
 
+@pytest.mark.parametrize("rows, cols", [(-1, 2), (2, -1)])
+def test_from_coo_refuses_a_negative_shape(rows, cols):
+    with pytest.raises(ValueError, match=rf"^need shape >= 0, integer positions: {rows}x{cols}"):
+        SparseMatrix.from_coo(rows, cols, [], [], [], Field.REAL)
+
+
+@pytest.mark.parametrize("row, col", [
+    ([0.9], [1]),
+    ([0], [1.7]),  # np.int64 would truncate it to 1 and store the entry at (0, 1)
+    ([0], [True]),
+    (np.array([0.0]), np.array([1], np.uint8)),
+])
+def test_from_coo_refuses_positions_that_are_not_integers(row, col):
+    with pytest.raises(ValueError, match="^need shape >= 0, integer positions: 2x2"):
+        SparseMatrix.from_coo(2, 2, row, col, [1.0], Field.REAL)
+
+
+def test_from_coo_takes_empty_positions_and_any_integer_dtype():
+    """Empty positions of any dtype pass, as zeros gives them."""
+    assert SparseMatrix.from_coo(2, 2, (), [], np.empty(0), Field.GF2).nnz == 0
+    m = SparseMatrix.from_coo(2, 2, np.array([1], np.uint8), np.array([0], np.int32), [1.0], Field.REAL)
+    assert (m.row.dtype, m.row.tolist(), m.col.tolist()) == (np.int64, [1], [0])
+
+
 def test_cochain_values_meet_the_number_rule():
     """A float or integer array is kept as given; other values follow _finite_reals's
     type rule, while NaN and infinities pass (hodge_decompose reports them)."""

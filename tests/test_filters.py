@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hodgekit import (
     Cochain,
+    Field,
     FilterSpec,
     InnerProductWeights,
     apply_filter,
@@ -22,7 +23,7 @@ from hodgekit import (
 )
 from hodgekit.chains import REAL_ZERO_TOL
 from hodgekit.filters import MAGNITUDE_WARN
-from hodgekit.errors import ShapeMismatch
+from hodgekit.errors import FieldMismatch, ShapeMismatch
 
 from conftest import CORPUS, gauge_sheaf, random_clique_complex
 
@@ -95,6 +96,14 @@ def test_filter_signal_errors():
         filter_signal(FilterSpec(0, alpha0=1.0), TORUS_OPS, Cochain(1, np.zeros(TORUS_OPS.size)))
     with pytest.raises(ShapeMismatch):
         filter_signal(FilterSpec(1, alpha0=1.0), TORUS_OPS, Cochain(1, np.zeros(3)))
+
+
+@pytest.mark.parametrize("down", [(), (1.0,)])
+def test_filter_signal_refuses_a_gf2_signal(down):
+    """Refused whether or not the filter has a Laplacian term to apply."""
+    g = Cochain(1, np.ones(TORUS_OPS.size), Field.GF2)
+    with pytest.raises(FieldMismatch, match="^filter_signal needs a real cochain$"):
+        filter_signal(FilterSpec(1, 1.0, down), TORUS_OPS, g)
 
 
 def operator_cases():

@@ -24,7 +24,7 @@ from hodgekit import (
 from hodgekit import generators as gen
 from hodgekit import hodge
 from hodgekit.cli import main
-from hodgekit.errors import DimensionOutOfRange, NumericalFailure, ShapeMismatch
+from hodgekit.errors import DimensionOutOfRange, FieldMismatch, NumericalFailure, ShapeMismatch
 
 from conftest import CORPUS, TORSION, random_clique_complex
 
@@ -343,6 +343,13 @@ def test_decompose_shape_errors():
         hodge_decompose(Cochain(0, [1.0, 2, 3]), TRIANGLE_GRAPH, 1)
     with pytest.raises(ShapeMismatch):
         hodge_decompose(Cochain(1, [1.0, 2]), TRIANGLE_GRAPH, 1)
+
+
+def test_decompose_refuses_a_gf2_signal():
+    """A GF(2) signal is a caller's error, not numerical trouble."""
+    c = CORPUS["torus7"]
+    with pytest.raises(FieldMismatch, match="^hodge_decompose needs a real cochain$"):
+        hodge_decompose(Cochain(1, np.ones(c.n_simplices(1)), Field.GF2), c, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

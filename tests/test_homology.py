@@ -150,6 +150,43 @@ def test_snf_replay_reaches_diagonal_form():
         assert diag == rank_gf2(m).rank
 
 
+def test_snf_gf2_of_empty_shapes():
+    for shape in ((0, 3), (3, 0)):
+        assert snf_gf2(SparseMatrix.zeros(*shape, Field.GF2)) == (0, [], [])
+
+
+def elementary(n: int, kind: str, i: int, j: int) -> np.ndarray:
+    """The n x n GF(2) matrix of one op on rows: swap rows i and j, or add row i into row j."""
+    e = np.eye(n, dtype=np.int64)
+    if kind == "swap":
+        e[[i, j]] = e[[j, i]]
+    else:
+        e[j, i] ^= 1
+    return e
+
+
+def test_replay_matches_products_of_elementary_matrices():
+    """Row op E acts as E @ a; the same op on columns as a @ E.T."""
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 8, size=2))
+        dense = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+        logs, want = [], dense.astype(np.int64)
+        for side, n in ((0, rows), (1, cols)):
+            log = []
+            for _ in range(int(rng.integers(0, 12))):
+                kind = str(rng.choice(["swap", "add"]))
+                i, j = (int(x) for x in rng.integers(0, n, 2))
+                if kind == "add" and i == j:
+                    continue
+                log.append((kind, i, j))
+                e = elementary(n, kind, i, j)
+                want = (e @ want if side == 0 else want @ e.T) % 2
+            logs.append(log)
+        got = replay_gf2_ops(SparseMatrix.from_dense(dense, Field.GF2), *logs)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
 def test_betti_golden_values():
     assert betti(build_complex([[0, 1], [1, 2], [0, 2]])) == [1, 1]
     assert betti(TRIANGLE) == [1, 0, 0]
@@ -362,6 +399,16 @@ def test_rank_real_matches_reference_elimination(m, tol):
 def test_gf2_kernels_match_reference_elimination(m):
     assert rank_gf2(m) == reference_rank_gf2(m)
     assert snf_gf2(m) == reference_snf_gf2(m)
+
+
+def test_snf_gf2_matches_reference_past_one_machine_word():
+    """65 to 90 rows and columns: each bitset row and column is longer than 64 bits."""
+    rng = np.random.default_rng(31)
+    for density in (0.03, 0.1, 0.3, 0.6):
+        for _ in range(3):
+            shape = rng.integers(65, 91, size=2)
+            m = SparseMatrix.from_dense((rng.random(shape) < density).astype(np.uint8), Field.GF2)
+            assert snf_gf2(m) == reference_snf_gf2(m)
 
 
 @st.composite

@@ -1,8 +1,9 @@
-"""The Laplacian, decomposition and CLI filter never densify an n x n operator.
+"""The Laplacian, decomposition and CLI filter never densify an n x n operator,
+and GF(2) diagonal reduction never densifies its input.
 
 A 448-vertex flag complex has 10,013 edges, so a dense edge Laplacian would
 have 10^8 cells.  SparseMatrix.toarray is patched to refuse anything above
-10^6 cells while those paths run.
+10^6 cells while those paths run, and to refuse every call while snf_gf2 runs.
 """
 
 import json
@@ -19,6 +20,9 @@ from hodgekit import (
     build_complex,
     hodge_decompose,
     hodge_laplacian,
+    rank_gf2,
+    replay_gf2_ops,
+    snf_gf2,
 )
 from hodgekit.cli import main
 
@@ -113,3 +117,26 @@ def test_cli_filter_without_densifying(no_densify, tmp_path, capsys):
             power = base(power)
             want = want + coeff * power
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# 60 vertices, 531 edges, 954 triangles: d2's bitset rows are 954 bits long.
+SNF_COMPLEX = build_complex(flag_complex(60, 0.3, seed=1))
+
+
+def test_snf_gf2_never_calls_toarray(monkeypatch):
+    def refused(m: SparseMatrix) -> np.ndarray:
+        raise AssertionError(f"densified a {m.rows}x{m.cols} matrix")
+
+    maps = [boundary_matrix(SNF_COMPLEX, n, Field.GF2) for n in (1, 2)]
+    monkeypatch.setattr(SparseMatrix, "toarray", refused)
+    assert [snf_gf2(m)[0] for m in maps] == [59, 469]
+
+
+def test_snf_gf2_of_a_flag_complex_replays_to_diagonal_form():
+    m = boundary_matrix(SNF_COMPLEX, 2, Field.GF2)
+    assert m.shape == (531, 954)
+    diag, row_ops, col_ops = snf_gf2(m)
+    expected = np.zeros(m.shape, np.uint8)
+    expected[np.arange(diag), np.arange(diag)] = 1
+    assert np.array_equal(replay_gf2_ops(m, row_ops, col_ops), expected)
+    assert diag == rank_gf2(m).rank

@@ -1,5 +1,6 @@
 """Sheaves: validation, coboundaries, consistency, cohomology, Laplacians."""
 
+import re
 import sys
 
 import numpy as np
@@ -419,6 +420,23 @@ def test_restriction_needs_an_incident_pair():
     assert sh.restriction(Simplex((1,)), Simplex((0, 1))).shape == (0, 1)
     with pytest.raises(MissingRestriction):
         sh.restriction(Simplex((2,)), Simplex((0, 1)))
+
+
+@pytest.mark.parametrize("bad", [((0,), (1, 2)), ((0,), (0, 1, 2))])
+def test_incidence_is_checked_before_any_map(bad):
+    """A pair of the right dimensions that is not a face, or of the wrong ones, is reported
+    with the keys, ahead of an earlier pair's map that fails the number rule."""
+    c = build_complex([[0, 1, 2]])
+    stalks = {s: 1 for n in range(3) for s in c.simplices(n)}
+    maps = {(f, t): [[1.0]] for n in (1, 2) for t in c.simplices(n) for f in t.faces()}
+    maps[bad] = [[1.0]]
+    maps[((0,), (0, 1))] = [[True]]
+    pair = f"({Simplex(bad[0])}, {Simplex(bad[1])})"
+    with pytest.raises(ValueError, match=rf"^{re.escape(pair)} is not an incident pair$"):
+        Sheaf(c, stalks, maps)
+    del maps[bad]
+    with pytest.raises(ValueError, match=r"^restriction \(Simplex\(0,\), Simplex\(0, 1\)\) is not an"):
+        Sheaf(c, stalks, maps)
 
 
 @pytest.mark.parametrize(

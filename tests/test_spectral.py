@@ -98,6 +98,15 @@ def test_sft_of_eigenvector_is_unit_coordinate():
         assert np.allclose(xhat.values, expected, atol=1e-10)
 
 
+def test_sft_refuses_a_gf2_cochain():
+    c = CORPUS["torus7"]
+    basis = eigendecompose(laplacian_matrix(c, 1), dimension=1)
+    g = Cochain(1, np.ones(c.n_simplices(1)), Field.GF2)
+    for transform in (sft, inverse_sft):
+        with pytest.raises(FieldMismatch, match="^the spectral transform needs a real cochain$"):
+            transform(g, basis)
+
+
 def test_sft_zero_maps_to_zero():
     basis = eigendecompose(laplacian_matrix(CORPUS["cycle8"], 0), dimension=0)
     out = sft(Cochain(0, np.zeros(8)), basis)
