@@ -28,6 +28,7 @@ from .hodge import (
     harmonic_basis,
     hodge_decompose,
     hodge_laplacian,
+    hodge_spectrum,
     inner_product,
 )
 from .homology import (
@@ -96,6 +97,7 @@ __all__ = [
     "harmonic_basis",
     "hodge_decompose",
     "hodge_laplacian",
+    "hodge_spectrum",
     "inner_product",
     "inverse_sft",
     "rank_gf2",

@@ -26,10 +26,10 @@ from . import generators, io
 from .chains import Cochain, Field, boundary_matrix
 from .errors import BadParams, HodgekitError, NumericalFailure
 from .filters import filter_signal
-from .hodge import hodge_decompose, hodge_laplacian
+from .hodge import hodge_decompose, hodge_laplacian, hodge_spectrum
 from .homology import betti
 from .sheaf import check_consistency, sheaf_cohomology_dims
-from .spectral import compare_spectra, eigendecompose, eigenvalues, inverse_sft, sft
+from .spectral import compare_spectra, eigendecompose, inverse_sft, sft
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -82,7 +82,7 @@ def _cmd_laplacian(args, c):
 
 
 def _cmd_spectrum(args, c):
-    values = eigenvalues(hodge_laplacian(c, args.dim).full)
+    values = hodge_spectrum(c, args.dim)
     return "\n".join(["eigenvalue"] + [repr(float(v)) for v in values])
 
 

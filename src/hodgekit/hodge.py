@@ -14,6 +14,10 @@ weighted adjoint of the one that starts there: d_n* (adjoint_boundary) below
 and d_(n+1) above for hodge_laplacian, delta_(n-1) and delta_n* for
 sheaf_laplacian.  So with weights W, sheaf_laplacian(constant_sheaf(c), n, W)
 is hodge_laplacian(c, n, W^(-1)) transposed; with unit weights they are equal.
+
+The two sides act on orthogonal subspaces, im d_n* and im d_(n+1), beside the harmonic
+space of dimension b_n.  hodge_spectrum takes each side's nonzero spectrum from its smaller
+Gram matrix, as many values as the map's exact rational rank, after b_n exact zeros.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ from .chains import (
     boundary_matrix,
     coboundary_matrix,
     compose,
+    transpose,
 )
 from .errors import DimensionOutOfRange, FieldMismatch, NumericalFailure, ShapeMismatch
-from .homology import _check_tol
-from .spectral import HARMONIC_RTOL, eigendecompose
+from .homology import _check_tol, _ranks, connected_components
+from .spectral import HARMONIC_RTOL, eigendecompose, eigenvalues
 
 if TYPE_CHECKING:
     from .complex import SimplicialComplex
@@ -107,7 +112,9 @@ class HodgeOperators:
 def inner_product(
     x: Cochain, y: Cochain, w: InnerProductWeights | None = None
 ) -> float:
-    """Weighted dot product of two cochains of the same dimension."""
+    """Weighted dot product of two real cochains of the same dimension."""
+    if x.field is not Field.REAL or y.field is not Field.REAL:
+        raise FieldMismatch("inner_product needs real cochains")
     if x.dimension != y.dimension:
         raise ShapeMismatch(f"dimensions differ: {x.dimension} vs {y.dimension}")
     if len(x) != len(y):
@@ -178,6 +185,22 @@ def _boundaries(c: SimplicialComplex, n: int) -> dict:
     if not 0 <= n <= c.max_dim:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
     return {(k, k - 1): boundary_matrix(c, k, Field.REAL) for k in (n + 1, n) if 1 <= k <= c.max_dim}
+
+
+def hodge_spectrum(c: SimplicialComplex, n: int) -> np.ndarray:
+    """Ascending eigenvalues of the unweighted L_n by the module docstring's split, L_n unbuilt:
+    b_n exact 0.0s (rational b_n, as betti), then values within ~1e-14 lambda_max of the full solver's."""
+    maps = {k: d for (k, _), d in _boundaries(c, n).items()}
+    high = sorted(k for k in maps if k >= 2)
+    rank = dict(zip(high, _ranks([maps[k] for k in high], Field.REAL)))
+    if 1 in maps:  # rank d_1 = |V| - #components, as in betti
+        rank[1] = c.n_simplices(0) - connected_components(c)
+    parts = [np.zeros(0)]
+    for k, d in maps.items():
+        gram = compose(d, transpose(d)) if d.rows <= d.cols else compose(transpose(d), d)
+        parts.append(eigenvalues(gram)[gram.rows - rank[k] :])
+    nonzero = np.sort(np.concatenate(parts))
+    return np.concatenate([np.zeros(c.n_simplices(n) - len(nonzero)), nonzero])
 
 
 def symmetrized(ops: HodgeOperators) -> SparseMatrix:

@@ -14,10 +14,12 @@ from hodgekit import (
     betti,
     boundary_matrix,
     build_complex,
+    eigenvalues,
     gradient,
     harmonic_basis,
     hodge_decompose,
     hodge_laplacian,
+    hodge_spectrum,
     inner_product,
     transpose,
 )
@@ -26,7 +28,7 @@ from hodgekit import hodge
 from hodgekit.cli import main
 from hodgekit.errors import DimensionOutOfRange, FieldMismatch, NumericalFailure, ShapeMismatch
 
-from conftest import CORPUS, TORSION, random_clique_complex
+from conftest import CORPUS, TORSION, random_clique_complex, random_complex
 
 TRIANGLE_GRAPH = build_complex([[0, 1], [1, 2], [0, 2]])
 FILLED = build_complex([[0, 1, 2]])
@@ -62,6 +64,19 @@ def test_inner_product_shape_errors():
 def test_weights_must_be_finite_and_positive(bad):
     with pytest.raises(ValueError, match="finite and positive"):
         InnerProductWeights({1: [bad, 1.0, 1.0]})
+
+
+def test_inner_product_refuses_gf2_cochains():
+    g = Cochain(1, np.ones(CORPUS["torus7"].n_simplices(1)), Field.GF2)
+    with pytest.raises(FieldMismatch, match="^inner_product needs real cochains$"):
+        inner_product(g, g)
+
+
+def test_inner_product_refuses_a_gf2_cochain_beside_a_real_one():
+    real, gf2 = Cochain(0, [1.0, 0.0]), Cochain(0, [1, 1], Field.GF2)
+    for x, y in ((real, gf2), (gf2, real)):
+        with pytest.raises(FieldMismatch, match="^inner_product needs real cochains$"):
+            inner_product(x, y)
 
 
 def test_adjoint_is_transpose_for_unit_weights():
@@ -423,3 +438,62 @@ def test_decompose_checks_the_kernel_without_assembling_the_laplacian(monkeypatc
 def test_weights_must_be_vectors(values):
     with pytest.raises(ShapeMismatch, match="^weights for dimension 1 must be a vector$"):
         InnerProductWeights({1: values})
+
+
+def check_hodge_spectrum(c, rational_betti):
+    """In every dimension: b_n exact zeros, then positive values at the full solver's."""
+    for n in range(c.max_dim + 1):
+        got = hodge_spectrum(c, n)
+        want = eigenvalues(hodge_laplacian(c, n).full)
+        zeros = int(np.sum(got == 0.0))
+        assert zeros == rational_betti[n]
+        assert got.shape == want.shape and np.all(np.diff(got) >= 0)
+        assert np.all(got[zeros:] > 0)
+        assert np.all(np.abs(got[zeros:] - want[zeros:]) <= 1e-12 * want[-1])
+
+
+def test_hodge_spectrum_on_corpus(corpus_complex):
+    check_hodge_spectrum(corpus_complex, betti(corpus_complex, Field.REAL))
+
+
+@pytest.mark.parametrize("name", sorted(TORSION))
+def test_hodge_spectrum_counts_rational_zeros_under_torsion(name):
+    tops, _, rational = TORSION[name]
+    check_hodge_spectrum(build_complex(tops), rational)
+
+
+def test_hodge_spectrum_examples():
+    for c, n, want in ((TRIANGLE_GRAPH, 0, [0, 3, 3]), (TRIANGLE_GRAPH, 1, [0, 3, 3]),
+                       (FILLED, 1, [3, 3, 3]), (FILLED, 2, [3])):
+        got = hodge_spectrum(c, n)
+        assert got.tolist() == pytest.approx(want, abs=1e-12)
+        assert np.sum(got == 0.0) == want.count(0)
+    with pytest.raises(DimensionOutOfRange, match="^dimension 3 outside 0..2$"):
+        hodge_spectrum(FILLED, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), clique=st.booleans())
+def test_hodge_spectrum_matches_full_solver(seed, clique):
+    rng = np.random.default_rng(seed)
+    if clique:
+        c = random_clique_complex(rng, int(rng.integers(3, 12)), float(rng.uniform(0.3, 0.8)))
+    else:
+        c = random_complex(rng, int(rng.integers(4, 9)))
+    check_hodge_spectrum(c, betti(c, Field.REAL))
+
+
+def test_hodge_spectrum_solves_only_the_smaller_gram_sides(monkeypatch):
+    c = random_clique_complex(np.random.default_rng(2), 12, 0.5, max_dim=2)
+    n0, n1, n2 = (c.n_simplices(n) for n in range(3))
+    assert n0 < n1 and n2 < n1
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    assert len(hodge_spectrum(c, 1)) == n1
+    assert sorted(shapes) == sorted([(n0, n0), (n2, n2)])

@@ -235,6 +235,22 @@ def test_cli_spectrum(triangle_file, capsys):
     assert np.allclose(values, [0.0, 3.0, 3.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("dim", ["5", "-1"])
+def test_cli_spectrum_dimension_out_of_range(triangle_file, capsys, dim):
+    assert main(["spectrum", triangle_file, "--dim", dim]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dimension {dim} outside 0..1\n"
+
+
+def test_cli_spectrum_prints_exact_zeros(torus_file, capsys):
+    """The torus' L1 has b1 = 2 zeros, printed as 0.0; the other 19 values are positive."""
+    assert main(["spectrum", torus_file, "--dim", "1"]) == 0
+    rows = capsys.readouterr().out.split()
+    assert rows[:3] == ["eigenvalue", "0.0", "0.0"]
+    assert len(rows) == 22 and all(float(v) > 0 for v in rows[3:])
+
+
 def test_cli_sft_roundtrip(triangle_file, tmp_path, capsys):
     signal = write_json(tmp_path / "s.json", {"dim": 0, "values": [1.0, -2.0, 0.5]})
     assert main(["sft", triangle_file, signal, "--dim", "0"]) == 0
