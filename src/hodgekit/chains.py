@@ -113,11 +113,13 @@ class SparseMatrix:
         Positions sort by one stable int64 key, row * cols + col (by row and column ranks on a
         shape of 2**63 cells or more, where it would wrap).  GF(2) sums are reduced mod 2 and real
         sums with |v| <= REAL_ZERO_TOL dropped.  Raises ShapeMismatch for a position outside the
-        shape, ValueError for a negative shape, non-integer positions, unequal lengths or a non-finite sum.
+        shape, ValueError for a shape that is not a Python or numpy int >= 0 (a bool is not),
+        non-integer positions, unequal lengths or a non-finite sum.
         """
         row, col, values = np.asarray(row), np.asarray(col), np.asarray(data, dtype=np.float64)
-        if min(rows, cols) < 0 or row.size and {row.dtype.kind, col.dtype.kind} - {"i", "u"}:
-            raise ValueError(f"need shape >= 0, integer positions: {rows}x{cols}, {row.dtype}, {col.dtype}")
+        shape_ok = all(type(n) is not bool and isinstance(n, (int, np.integer)) and n >= 0 for n in (rows, cols))
+        if not shape_ok or row.size and {row.dtype.kind, col.dtype.kind} - {"i", "u"}:
+            raise ValueError(f"need shape >= 0, integer positions: {rows!r}x{cols!r}, {row.dtype}, {col.dtype}")
         row, col = row.astype(np.int64, copy=False), col.astype(np.int64, copy=False)
         if not row.ndim == 1 or not row.shape == col.shape == values.shape:
             raise ValueError("row, col and data must be flat and of one length")

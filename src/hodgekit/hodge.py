@@ -61,8 +61,8 @@ class InnerProductWeights:
     def __init__(self, weights: Mapping[int, "np.ndarray | list[float]"] | None = None):
         self._weights: dict[int, np.ndarray] = {}
         for dim, values in (weights or {}).items():
-            if int(dim) < 0:
-                raise ValueError(f"weights dimension {dim} is negative")
+            if type(dim) is bool or not isinstance(dim, (int, np.integer)) or dim < 0:
+                raise ValueError(f"weights dimension {dim!r} is negative or not an integer")
             shape, leaves = _entries(values)
             if len(shape) != 1:
                 raise ShapeMismatch(f"weights for dimension {dim} must be a vector")

@@ -5,8 +5,7 @@ orthonormal eigenvectors, and a deterministic sign convention (each
 eigenvector's largest-magnitude entry is positive, first such entry on
 ties).  Within a numerically repeated eigenvalue the basis is arbitrary,
 so comparisons across runs should use subspace projectors, not vectors.
-Callers that need only the spectrum use eigenvalues(), which skips the
-vectors.
+Callers that need only the spectrum use eigenvalues(), which skips the vectors.
 """
 
 from __future__ import annotations
@@ -44,17 +43,18 @@ class SpectralBasis:
         return float(self.eigenvalues[-1]) if self.size else 0.0
 
 
-def _symmetric_part(L: SparseMatrix, tol: float) -> np.ndarray:
-    """Both eigensolvers' checks, then the dense (L + L^T) / 2 that LAPACK reads."""
+def _checked_dense(L: SparseMatrix, tol: float) -> np.ndarray:
+    """Both eigensolvers' checks, then L's one dense copy, whose lower triangle LAPACK reads."""
     _check_tol(tol)
     if L.field_tag is not Field.REAL:
         raise FieldMismatch("eigendecomposition needs a real matrix")
     a = L.toarray()
     if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if a.size and not np.max(np.abs(a - a.T)) <= tol * max(np.max(np.abs(a)), 1.0):
+    # a - a.T is antisymmetric (IEEE subtraction is), so its max is max|L - L^T|.
+    if a.size and not np.max(a - a.T) <= tol * max(np.max(np.abs(L.data), initial=0.0), 1.0):
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    return (a + a.T) / 2.0
+    return a
 
 
 def eigendecompose(
@@ -62,11 +62,11 @@ def eigendecompose(
 ) -> SpectralBasis:
     """Full eigendecomposition of a symmetric real matrix.
 
-    Raises NotSymmetric unless max|L - L^T| <= tol * max(max|L|, 1), and
-    ValueError for a NaN, infinite or negative tol.  The weighted
-    self-adjoint case must be symmetrized by the caller first.
+    Raises NotSymmetric unless max|L - L^T| <= tol * max(max|L|, 1), and ValueError for a NaN,
+    infinite or negative tol.  LAPACK reads the lower triangle of the checked dense copy of L,
+    equal to (L + L^T) / 2 when L is exactly symmetric.  Symmetrize a weighted Laplacian first.
     """
-    a = _symmetric_part(L, tol)
+    a = _checked_dense(L, tol)
     if a.size == 0:
         return SpectralBasis(np.zeros(0), np.zeros((0, 0)), dimension)
     values, vectors = np.linalg.eigh(a)
@@ -76,8 +76,8 @@ def eigendecompose(
 
 
 def eigenvalues(L: SparseMatrix) -> np.ndarray:
-    """eigendecompose(L)'s ascending eigenvalues (to ~1e-13 of the largest), without vectors."""
-    a = _symmetric_part(L, SYMMETRY_RTOL)
+    """eigendecompose(L)'s ascending eigenvalues (to ~1e-13 of the largest) from the same checked triangle."""
+    a = _checked_dense(L, SYMMETRY_RTOL)
     return np.linalg.eigvalsh(a) if a.size else np.zeros(0)
 
 

@@ -195,6 +195,22 @@ def test_sparse_matrix_construction_rules():
         SparseMatrix.from_entries(1, 1, [(2, 0, 1.0)], Field.REAL)
 
 
+@pytest.mark.parametrize("rows, cols", [
+    (2.5, 2),  # the bound check would compare row 2 with 2.5 and keep it
+    (2, np.float64(3.0)), (True, 2), (2, False), (np.True_, 2), ("2", 2), (None, 2),
+])
+def test_from_coo_refuses_shapes_that_are_not_integers(rows, cols):
+    with pytest.raises(ValueError, match="^need shape >= 0, integer positions: "):
+        SparseMatrix.from_coo(rows, cols, [0], [0], [1.0], Field.REAL)
+
+
+@pytest.mark.parametrize("n", [2, np.int64(2), np.uint8(2), 2**62])
+def test_from_coo_takes_python_and_numpy_integer_shapes(n):
+    m = SparseMatrix.from_coo(n, n, [1], [0], [1.0], Field.REAL)
+    assert (m.shape, m.row.tolist(), m.col.tolist(), m.data.tolist()) == ((int(n), int(n)), [1], [0], [1.0])
+    assert type(m.rows) is type(m.cols) is int
+
+
 def test_add_matches_dense_sum():
     rng = np.random.default_rng(1)
     a = rng.integers(0, 2, size=(4, 5))

@@ -434,6 +434,17 @@ def test_decompose_checks_the_kernel_without_assembling_the_laplacian(monkeypatc
             hodge_decompose(Cochain(n, s), c, n)
 
 
+@pytest.mark.parametrize("dim", [1.5, np.float64(1.0), True, np.True_, "1", None, -1, np.int64(-1)])
+def test_weights_dimensions_are_integers_at_least_zero(dim):
+    with pytest.raises(ValueError, match="^weights dimension .* is negative or not an integer$"):
+        InnerProductWeights({dim: [2.0]})
+
+
+def test_weights_take_python_and_numpy_integer_dimensions():
+    w = InnerProductWeights({0: [2.0], np.int64(1): [3.0], np.uint8(2): [4.0]})
+    assert [w.vector(n, 1).tolist() for n in range(4)] == [[2.0], [3.0], [4.0], [1.0]]
+
+
 @pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0, 4.0]], 2.0])
 def test_weights_must_be_vectors(values):
     with pytest.raises(ShapeMismatch, match="^weights for dimension 1 must be a vector$"):

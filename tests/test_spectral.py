@@ -1,6 +1,7 @@
 """Eigendecomposition, simplicial Fourier transform, spectra comparison."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hodgekit import (
 from hodgekit import generators as gen
 from hodgekit.cli import main
 from hodgekit.errors import FieldMismatch, NotAGraph, NotSymmetric, ShapeMismatch
+from hodgekit.spectral import SYMMETRY_RTOL, _checked_dense
 
 from conftest import CORPUS, CORPUS_TOPS
 
@@ -263,3 +265,38 @@ def test_only_the_vector_paths_call_eigh(monkeypatch, tmp_path, capsys):
     assert calls == [(21, 21)]
     assert len(harmonic_basis(hodge_laplacian(CORPUS["torus7"], 1))) == 2
     assert calls == [(21, 21), (21, 21)]
+
+
+def test_lapack_reads_the_checked_copy_itself(monkeypatch):
+    """A matrix symmetric only within the tolerance reaches LAPACK as is, not as (L + L^T) / 2."""
+    a = laplacian_matrix(CORPUS["torus7"], 1).toarray()
+    a[3, 0] += 1e-11 * np.max(np.abs(a))
+    L = SparseMatrix.from_dense(a, Field.REAL)
+    seen = []
+
+    def recorded(solve):
+        def call(m, *args, **kwargs):
+            seen.append(m.copy())
+            return solve(m, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    eigendecompose(L)
+    eigenvalues(L)
+    assert len(seen) == 2
+    for m in seen:
+        assert m.dtype == np.float64 and m.tobytes() == L.toarray().tobytes()
+
+
+def test_checked_dense_peaks_near_two_dense_arrays():
+    """One dense copy of L and one of L - L^T at most: no |L|, sum or half of it on the side."""
+    L = laplacian_matrix(build_complex(gen.cycle(400)), 1)
+    n = L.rows
+    tracemalloc.start()
+    try:
+        _checked_dense(L, SYMMETRY_RTOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * n * n * 8, peak / (n * n * 8)
