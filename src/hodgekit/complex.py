@@ -80,8 +80,8 @@ class Simplex:
 class SimplicialComplex:
     """Downward-closed set of simplices with per-dimension canonical order.
 
-    Dimension n is held as a lexsorted (N_n, n+1) int64 array of vertex
-    positions and its face table; Simplex objects are built on first use.
+    Dimension n is held as a lexicographically sorted (N_n, n+1) int64 array
+    of vertex positions and its face table; Simplex objects are built on first use.
     Instances are immutable after construction and safe to share between
     threads.  Vertex labels may be any non-negative integers; their dense
     index is their position in the canonical dimension-0 list.
@@ -101,24 +101,25 @@ class SimplicialComplex:
         self._position = position = {v: p for p, v in enumerate(self._labels)}
         ids = np.fromiter(map(position.get, flat, repeat(-1)), np.int64, len(flat))
         width = np.fromiter(map(len, tops), np.int64, len(tops))
-        first, bad = np.cumsum(width) - width, width == 0
+        first, bad, base = np.cumsum(width) - width, width == 0, len(position) + 1
         self._arrays, self._tables, faces = [], [], np.zeros((0, width.max()), dtype=np.int64)
-        # Each size's simplices are the faces one size up plus that size's tops (sorted rows,
-        # bad if they hold a -1 or a repeat); one lexsort orders them and indexes those faces.
-        # _tables[k] is dimension k + 1's table, so _tables[max_dim] is the empty one on top.
+        # Each size's simplices are the faces one size up plus its tops (sorted rows, bad if they
+        # hold a -1 or a repeat). Row keys read positions + 1 as base-(V + 1) digits; unique keys give
+        # the simplices and the table of those faces: _tables[k] is dimension k + 1's, empty on top.
         for size in range(faces.shape[1], 0, -1):
             at = np.flatnonzero(width == size)
             own = np.sort(ids[first[at, None] + np.arange(size)], axis=1, kind="stable")
             bad[at] = (own[:, 0] < 0) | (own[:, 1:] == own[:, :-1]).any(axis=1)
             rows = np.concatenate([faces, own])
-            order = np.lexsort(rows.T[::-1])
-            rows, new = rows[order], np.ones(len(rows), dtype=bool)
-            new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-            inverse = np.empty_like(order)
-            inverse[order] = np.cumsum(new) - 1
+            key, span = np.zeros(len(rows), np.int64), 1  # every key is below span
+            for digit in rows.T + 1:
+                if span * base > 2**63:  # the next digit would wrap: rank the key so far first
+                    key, span = np.unique(key, return_inverse=True)[1], len(key)
+                key, span = key * base + digit, span * base
+            _, unique, inverse = np.unique(key, return_index=True, return_inverse=True)
             self._tables.insert(0, inverse[: len(faces)].reshape(-1, size + 1))
             self._tables[0].flags.writeable = False
-            self._arrays.insert(0, simplices := rows[new])
+            self._arrays.insert(0, simplices := rows[unique])
             keep = np.array([[k for k in range(size) if k != i] for i in range(size)], int)
             faces = simplices[:, keep].reshape(len(simplices) * size, size - 1)
         if bad.any():  # the first bad top in input order raises what Simplex raises

@@ -190,9 +190,7 @@ LABELS = st.sampled_from([0, 1, 4, 5, 9, 30, 31, 2**40, 2**63, 2**64 + 3])
 TOP = st.sets(LABELS, min_size=1, max_size=4).flatmap(lambda s: st.permutations(sorted(s)))
 
 
-@given(tops=st.lists(TOP, min_size=1, max_size=8))
-def test_arrays_and_face_tables_match_brute_force_closure(tops):
-    c = build_complex(tops)
+def assert_matches_brute_force_closure(c, tops):
     closure = {
         combo for top in tops for k in range(1, len(top) + 1)
         for combo in itertools.combinations(sorted(top), k)
@@ -200,14 +198,53 @@ def test_arrays_and_face_tables_match_brute_force_closure(tops):
     assert c.max_dim == max(len(top) for top in tops) - 1
     assert len(c) == len(closure)
     assert c.vertices == tuple(sorted({v for top in tops for v in top}))
-    for n in range(c.max_dim + 1):
-        expected = sorted(s for s in closure if len(s) == n + 1)
-        assert [s.vertices for s in c.simplices(n)] == expected
+    position = {v: p for p, v in enumerate(c.vertices)}
+    expected = [sorted(s for s in closure if len(s) == n + 1) for n in range(c.max_dim + 1)]
+    for n, simplices in enumerate(expected):
+        assert [s.vertices for s in c.simplices(n)] == simplices
+        assert c._arrays[n].tolist() == [[position[v] for v in s] for s in simplices]
     for n in range(1, c.max_dim + 1):
         table = c.face_table(n)
         assert table.shape == (c.n_simplices(n), n + 1) and not table.flags.writeable
+        index = {s: j for j, s in enumerate(expected[n - 1])}
+        faces = [[index[s[:i] + s[i + 1 :]] for i in range(n + 1)] for s in expected[n]]
+        assert table.tolist() == faces
+
+
+@given(tops=st.lists(TOP, min_size=1, max_size=8))
+def test_arrays_and_face_tables_match_brute_force_closure(tops):
+    c = build_complex(tops)
+    assert_matches_brute_force_closure(c, tops)
+    for n in range(1, c.max_dim + 1):
         for j, s in enumerate(c.simplices(n)):
-            assert table[j].tolist() == [c.index(f) for f in s.faces()]
+            assert c.face_table(n)[j].tolist() == [c.index(f) for f in s.faces()]
+
+
+# A 12-vertex top among 2,000 isolated vertices: (V + 1)**12 passes 2**63, so the
+# row keys of the upper dimensions are ranked between digits.
+WIDE_TOPS = [
+    [9, 2**64 + 7, 3],
+    [5, 11, 0, 8, 2, 10, 1, 7, 4, 6, 3, 9],
+    *([v] for v in range(100, 2100)),
+    [2**64 + 7],
+]
+
+
+def test_wide_keys_match_brute_force_closure():
+    c = build_complex(WIDE_TOPS)
+    assert (len(c.vertices) + 1) ** 12 > 2**63
+    assert [c.n_simplices(n) for n in range(3)] == [2013, 66 + 2, 220 + 1]
+    assert_matches_brute_force_closure(c, WIDE_TOPS)
+
+
+@pytest.mark.parametrize("bad, later", [([4, -1, 2**64 + 7], [0, 1, 0]), ([2**64 + 7, 9, 2**64 + 7], [-1])])
+def test_wide_keys_raise_the_first_bad_top(bad, later):
+    with pytest.raises((InvalidVertex, DuplicateVertex)) as want:
+        reference_check_vertices(bad)
+    tops = [*WIDE_TOPS[:2], bad, *WIDE_TOPS[2:], later]
+    with pytest.raises(type(want.value)) as info:
+        build_complex(tops)
+    assert str(info.value) == str(want.value)
 
 
 def test_face_lookups_build_no_simplex(monkeypatch):

@@ -473,6 +473,15 @@ def test_hodge_spectrum_counts_rational_zeros_under_torsion(name):
     check_hodge_spectrum(build_complex(tops), rational)
 
 
+def test_hodge_spectrum_counts_zeros_on_a_disconnected_complex():
+    # Two tori on interleaved labels and three isolated vertices: rank d_1 comes from
+    # 5 components, and every dimension's zeros are exactly the rational b_n, first.
+    tori = [[2 * v + k for v in top] for top in gen.torus() for k in (0, 1)]
+    c = build_complex(tori + [[20], [3 * 10**6], [2**64]])
+    assert betti(c, Field.REAL) == [5, 4, 2]
+    check_hodge_spectrum(c, [5, 4, 2])
+
+
 def test_hodge_spectrum_examples():
     for c, n, want in ((TRIANGLE_GRAPH, 0, [0, 3, 3]), (TRIANGLE_GRAPH, 1, [0, 3, 3]),
                        (FILLED, 1, [3, 3, 3]), (FILLED, 2, [3])):

@@ -211,6 +211,75 @@ def test_connected_components_equal_b0(corpus_complex):
     assert connected_components(corpus_complex) == betti(corpus_complex)[0]
 
 
+def reference_components(c):
+    """Union-find with one Python step per edge, as connected_components once ran it."""
+    parent = list(range(c.n_simplices(0)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for a, b in c.face_table(1).tolist() if c.max_dim >= 1 else ():
+        parent[find(a)] = find(b)
+    return sum(find(v) == v for v in range(len(parent)))
+
+
+@given(
+    labels=st.lists(st.integers(0, 10**6), min_size=1, max_size=30, unique=True),
+    data=st.data(),
+)
+def test_connected_components_match_union_find(labels, data):
+    pick = st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)
+    tops = [[v] for v in labels] + data.draw(st.lists(pick, max_size=25))
+    c = build_complex(tops)
+    assert connected_components(c) == reference_components(c)
+
+
+@given(labels=st.lists(st.integers(0, 2**70), min_size=1, max_size=40, unique=True))
+def test_connected_components_of_vertices_only(labels):
+    c = build_complex([[v] for v in labels])
+    assert connected_components(c) == reference_components(c) == len(labels)
+
+
+class CountedMinimum:
+    """np.minimum that counts the calls of its .at, one per hooking round."""
+
+    def __init__(self):
+        self.minimum, self.rounds = np.minimum, 0
+
+    def __call__(self, *args, **kwargs):
+        return self.minimum(*args, **kwargs)
+
+    def at(self, *args):
+        self.rounds += 1
+        return self.minimum.at(*args)
+
+
+def large_trees(v=10**5):
+    rng = np.random.default_rng(27)
+    path, binary = rng.permutation(v).tolist(), rng.permutation(v).tolist()
+    return {
+        "shuffled path": [[path[i - 1], path[i]] for i in range(1, v)],
+        "random recursive tree": [[i, int(j)] for i, j in enumerate(rng.integers(np.arange(1, v)), 1)],
+        "shuffled complete binary tree": [[binary[(i - 1) // 2], binary[i]] for i in range(1, v)],
+    }
+
+
+@pytest.mark.parametrize("name", list(large_trees(2)))
+def test_connected_components_of_large_trees_take_few_rounds(name, monkeypatch):
+    # Every two rounds at least halve the roots of a component, so 10**5 vertices need at
+    # most 35 rounds, where a round per vertex would be 10**5 passes over the edges.
+    edges = large_trees()[name]
+    counted = CountedMinimum()
+    monkeypatch.setattr(np, "minimum", counted)
+    assert connected_components(build_complex(edges)) == 1
+    assert 1 <= counted.rounds <= 35
+    if name == "shuffled path":
+        cut = build_complex(edges[: len(edges) // 2] + edges[len(edges) // 2 + 1 :])
+        assert connected_components(cut) == 2
+
+
 def test_graph_circuit_rank_oracle():
     rng = np.random.default_rng(5)
     for i in range(50):
