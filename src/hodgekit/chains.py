@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import DimensionOutOfRange, FieldMismatch, ShapeMismatch
+from .errors import FieldMismatch, ShapeMismatch
 
 if TYPE_CHECKING:
     from .complex import SimplicialComplex
@@ -46,9 +46,19 @@ class Cochain:
             raise ValueError("cochain values must be ints or floats, not bools, strings or None")
         v = np.asarray(v) % 2 if gf2 else v
         object.__setattr__(self, "values", np.asarray(v, np.uint8 if gf2 else np.float64))
+        if self.values.ndim != 1:
+            raise ShapeMismatch(f"cochain values must be a vector, got shape {self.values.shape}")
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _check_cochain(x: Cochain, dimension: int | None, size: int) -> None:
+    """Raise ShapeMismatch unless x has the operator's dimension (any, if None) and size."""
+    if dimension is not None and x.dimension != dimension:
+        raise ShapeMismatch(f"cochain dimension {x.dimension} != {dimension}")
+    if len(x) != size:
+        raise ShapeMismatch(f"cochain length {len(x)} != {size}")
 
 
 def _finite_reals(leaves: list, finite: bool = True) -> np.ndarray | None:
@@ -228,10 +238,7 @@ def boundary_matrix(c: SimplicialComplex, n: int, field_tag: Field) -> SparseMat
 
 def coboundary_matrix(c: SimplicialComplex, n: int, field_tag: Field) -> SparseMatrix:
     """Transpose of boundary_matrix(c, n+1); 0 x #C_n when nothing is above."""
-    if not 0 <= n <= c.max_dim:
-        raise DimensionOutOfRange(
-            f"coboundary dimension {n} outside 0..{c.max_dim}"
-        )
+    c._check_dim(n)
     if n == c.max_dim:
         return SparseMatrix.zeros(0, c.n_simplices(n), field_tag)
     return transpose(boundary_matrix(c, n + 1, field_tag))

@@ -144,6 +144,11 @@ class SimplicialComplex:
             raise ValueError("dimension must be non-negative")
         return len(self._arrays[n]) if n <= self.max_dim else 0
 
+    def _check_dim(self, n: int) -> None:
+        """Raise DimensionOutOfRange unless 0 <= n <= max_dim."""
+        if not 0 <= n <= self.max_dim:
+            raise DimensionOutOfRange(f"dimension {n} outside 0..{self.max_dim}")
+
     def face_table(self, n: int) -> np.ndarray:
         """Read-only (N_n, n+1) positions: [j, i] is the face of n-simplex j
         that deletes its i-th vertex."""

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chains import Cochain, Field, SparseMatrix, _finite_reals, apply
+from .chains import Cochain, Field, SparseMatrix, _check_cochain, _finite_reals, apply
 from .errors import FieldMismatch, ShapeMismatch
 from .hodge import HodgeOperators
 
@@ -100,8 +100,7 @@ def filter_signal(spec: FilterSpec, ops: HodgeOperators, s: Cochain) -> Cochain:
     """
     if s.field is not Field.REAL:
         raise FieldMismatch("filter_signal needs a real cochain")
-    if len(s) != ops.size:
-        raise ShapeMismatch(f"operators have size {ops.size}, cochain length {len(s)}")
+    _check_cochain(s, ops.dimension, ops.size)
     out = _evaluate(
         spec, ops, s.values, lambda m: lambda v: apply(m, Cochain(s.dimension, v, s.field)).values
     )
@@ -120,6 +119,7 @@ def shift(ops: HodgeOperators, s: Cochain, d: int = 1) -> Cochain:
     """Apply the combined Laplacian d times (the simplicial shift)."""
     if d < 1:
         raise ValueError(f"shift count must be positive, got {d}")
+    _check_cochain(s, ops.dimension, ops.size)
     out = s
     for _ in range(d):
         out = apply(ops.full, out)

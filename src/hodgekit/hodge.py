@@ -31,6 +31,7 @@ from .chains import (
     Cochain,
     Field,
     SparseMatrix,
+    _check_cochain,
     _entries,
     _finite_reals,
     add,
@@ -40,7 +41,7 @@ from .chains import (
     compose,
     transpose,
 )
-from .errors import DimensionOutOfRange, FieldMismatch, NumericalFailure, ShapeMismatch
+from .errors import FieldMismatch, NumericalFailure, ShapeMismatch
 from .homology import _check_tol, _ranks, connected_components
 from .spectral import HARMONIC_RTOL, eigendecompose, eigenvalues
 
@@ -68,6 +69,7 @@ class InnerProductWeights:
                 raise ShapeMismatch(f"weights for dimension {dim} must be a vector")
             if (vec := _finite_reals(leaves)) is None or not (vec > 0).all():
                 raise ValueError(f"weights for dimension {dim} must be finite and positive")
+            vec.flags.writeable = False  # shared by every operator built with these weights
             self._weights[int(dim)] = vec
 
     @classmethod
@@ -115,10 +117,7 @@ def inner_product(
     """Weighted dot product of two real cochains of the same dimension."""
     if x.field is not Field.REAL or y.field is not Field.REAL:
         raise FieldMismatch("inner_product needs real cochains")
-    if x.dimension != y.dimension:
-        raise ShapeMismatch(f"dimensions differ: {x.dimension} vs {y.dimension}")
-    if len(x) != len(y):
-        raise ShapeMismatch(f"lengths differ: {len(x)} vs {len(y)}")
+    _check_cochain(y, x.dimension, len(x))
     weights = (w or InnerProductWeights.ones()).vector(x.dimension, len(x))
     return float(np.sum(weights * x.values * y.values))
 
@@ -182,8 +181,7 @@ def hodge_laplacian(
 
 def _boundaries(c: SimplicialComplex, n: int) -> dict:
     """d_(n+1) and d_n where the complex has them, by (source, target) dimension."""
-    if not 0 <= n <= c.max_dim:
-        raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
+    c._check_dim(n)
     return {(k, k - 1): boundary_matrix(c, k, Field.REAL) for k in (n + 1, n) if 1 <= k <= c.max_dim}
 
 
@@ -290,12 +288,7 @@ def hodge_decompose(
     _check_tol(tol)
     if s.field is not Field.REAL:
         raise FieldMismatch("hodge_decompose needs a real cochain")
-    if s.dimension != n:
-        raise ShapeMismatch(f"signal dimension {s.dimension} != {n}")
-    if len(s) != c.n_simplices(n):
-        raise ShapeMismatch(
-            f"signal length {len(s)} != {c.n_simplices(n)} simplices"
-        )
+    _check_cochain(s, n, c.n_simplices(n))
     if not np.all(np.isfinite(s.values)):
         raise NumericalFailure("signal has a NaN or infinite value")
     w_n, below, above = _sides(n, w, c.n_simplices, _boundaries(c, n))
@@ -323,8 +316,5 @@ def hodge_decompose(
 
 def gradient(c: SimplicialComplex, f: Cochain) -> Cochain:
     """Finite differences of a vertex function along the oriented edges."""
-    if f.dimension != 0:
-        raise ShapeMismatch(f"gradient needs a vertex signal, got dimension {f.dimension}")
-    if len(f) != c.n_simplices(0):
-        raise ShapeMismatch(f"signal length {len(f)} != {c.n_simplices(0)} vertices")
+    _check_cochain(f, 0, c.n_simplices(0))
     return apply(coboundary_matrix(c, 0, Field.REAL), f, result_dim=1)

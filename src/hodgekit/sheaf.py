@@ -22,7 +22,6 @@ from .chains import (Cochain, Field, SparseMatrix, _entries, _finite_reals, _gri
                      coboundary_matrix, compose)
 from .complex import Simplex
 from .errors import (
-    DimensionOutOfRange,
     InconsistentSheaf,
     MissingRestriction,
     MissingStalk,
@@ -220,8 +219,7 @@ def sheaf_coboundary(c: SimplicialComplex, sh: Sheaf, n: int) -> SparseMatrix:
     Raises ShapeMismatch unless c is the sheaf's own complex.
     """
     _check_complex(c, sh)
-    if not 0 <= n <= c.max_dim:
-        raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
+    c._check_dim(n)
     return sh._delta[n]
 
 
@@ -275,7 +273,6 @@ def sheaf_laplacian(
     it is the transpose of hodge_laplacian(c, n, W^(-1)).
     """
     _check_complex(c, sh)
-    if not 0 <= n <= c.max_dim:
-        raise DimensionOutOfRange(f"dimension {n} outside 0..{c.max_dim}")
+    c._check_dim(n)
     maps = {(k, k + 1): sheaf_coboundary(c, sh, k) for k in (n, n - 1) if 0 <= k < c.max_dim}
     return _assemble(n, *_sides(n, w, sh.total_dim, maps))

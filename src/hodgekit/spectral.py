@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chains import Cochain, Field, SparseMatrix, coboundary_matrix, compose, transpose
-from .errors import FieldMismatch, NotAGraph, NotSymmetric, ShapeMismatch
+from .chains import Cochain, Field, SparseMatrix, _check_cochain, coboundary_matrix, compose, transpose
+from .errors import FieldMismatch, NotAGraph, NotSymmetric
 from .homology import _check_tol
 
 if TYPE_CHECKING:
@@ -84,12 +84,7 @@ def eigenvalues(L: SparseMatrix) -> np.ndarray:
 def _check_alignment(x: Cochain, basis: SpectralBasis) -> None:
     if x.field is not Field.REAL:
         raise FieldMismatch("the spectral transform needs a real cochain")
-    if basis.dimension is not None and x.dimension != basis.dimension:
-        raise ShapeMismatch(
-            f"cochain dimension {x.dimension} != basis dimension {basis.dimension}"
-        )
-    if len(x) != basis.size:
-        raise ShapeMismatch(f"cochain length {len(x)} != basis size {basis.size}")
+    _check_cochain(x, basis.dimension, basis.size)
 
 
 def sft(x: Cochain, basis: SpectralBasis) -> Cochain:
@@ -115,26 +110,19 @@ class SpectraReport:
     b0_minus_b1: int
 
 
-def graph_laplacians(c: SimplicialComplex) -> tuple[SparseMatrix, SparseMatrix]:
-    """The vertex Laplacian d1 d1^T and the edge Laplacian d1^T d1."""
-    if c.max_dim > 1:
-        raise NotAGraph(f"complex has dimension {c.max_dim}")
-    d1t = coboundary_matrix(c, 0, Field.REAL)  # 0 x #vertices without edges
-    d1 = transpose(d1t)
-    return compose(d1, d1t), compose(d1t, d1)
-
-
 def compare_spectra(c: SimplicialComplex, tol: float | None = None) -> SpectraReport:
-    """Check that the two graph Laplacians share their nonzero spectrum.
+    """Check that the vertex Laplacian d1 d1^T and the edge Laplacian d1^T d1 share their nonzero spectrum.
 
     The multiplicity of the eigenvalue zero differs between them by exactly
     b0 - b1; both quantities are reported so callers can assert equality.
     A NaN, infinite or negative tol raises ValueError.
     """
     _check_tol(tol)
-    l0, l1 = graph_laplacians(c)
-    ev0 = eigenvalues(l0)
-    ev1 = eigenvalues(l1)
+    if c.max_dim > 1:
+        raise NotAGraph(f"complex has dimension {c.max_dim}")
+    d1t = coboundary_matrix(c, 0, Field.REAL)  # 0 x #vertices without edges
+    d1 = transpose(d1t)
+    ev0, ev1 = eigenvalues(compose(d1, d1t)), eigenvalues(compose(d1t, d1))
     lam_max = max(float(ev[-1]) if ev.size else 0.0 for ev in (ev0, ev1))
     zero_thr = HARMONIC_RTOL * lam_max
     match_tol = tol if tol is not None else 1e-6 * lam_max

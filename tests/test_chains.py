@@ -87,8 +87,9 @@ def test_coboundary_empty_above_top_dimension():
     cob = coboundary_matrix(hollow, 1, Field.REAL)
     assert cob.shape == (0, 3)
     assert cob.nnz == 0
-    with pytest.raises(DimensionOutOfRange):
-        coboundary_matrix(hollow, 2, Field.REAL)
+    for n in (-1, 2):
+        with pytest.raises(DimensionOutOfRange, match=rf"^dimension {n} outside 0\.\.1$"):
+            coboundary_matrix(hollow, n, Field.REAL)
 
 
 def test_apply_gf2_cycle_sums_to_zero():
@@ -324,6 +325,14 @@ def test_cochain_values_meet_the_number_rule():
     for bad in (["1", "2"], [True], [np.True_], [None], [[1.0]], [10**400], np.array(["1"]), np.array([True])):
         with pytest.raises(ValueError, match="^cochain values must be ints or floats"):
             Cochain(0, bad)
+
+
+def test_cochain_values_must_be_a_vector():
+    """A matrix or a 0-d array is refused at once, not by a broadcast or len() later."""
+    with pytest.raises(ShapeMismatch, match=r"^cochain values must be a vector, got shape \(21, 2\)$"):
+        Cochain(1, np.ones((21, 2)))
+    with pytest.raises(ShapeMismatch, match=r"^cochain values must be a vector, got shape \(\)$"):
+        Cochain(0, np.array(3.0))
 
 
 def coo_reference(rows, cols, row, col, data, field_tag):

@@ -12,6 +12,7 @@ from hodgekit import (
     FilterSpec,
     InnerProductWeights,
     apply_filter,
+    build_complex,
     build_filter,
     compose,
     eigendecompose,
@@ -21,6 +22,7 @@ from hodgekit import (
     sheaf_laplacian,
     shift,
 )
+from hodgekit import generators as gen
 from hodgekit.chains import REAL_ZERO_TOL
 from hodgekit.filters import MAGNITUDE_WARN
 from hodgekit.errors import FieldMismatch, ShapeMismatch
@@ -96,6 +98,16 @@ def test_filter_signal_errors():
         filter_signal(FilterSpec(0, alpha0=1.0), TORUS_OPS, Cochain(1, np.zeros(TORUS_OPS.size)))
     with pytest.raises(ShapeMismatch):
         filter_signal(FilterSpec(1, alpha0=1.0), TORUS_OPS, Cochain(1, np.zeros(3)))
+
+
+def test_filter_signal_and_shift_refuse_a_cochain_of_another_dimension():
+    """A 5-cycle has 5 vertices and 5 edges: a vertex signal has the edge operators' size."""
+    ops = hodge_laplacian(build_complex(gen.cycle(5)), 1)
+    vertex_signal = Cochain(0, [-0.5, 4.0, 2.5, 3.0, 7.0])
+    with pytest.raises(ShapeMismatch, match="^cochain dimension 0 != 1$"):
+        filter_signal(FilterSpec(1, 0.5, (1.0,), (1.0,)), ops, vertex_signal)
+    with pytest.raises(ShapeMismatch, match="^cochain dimension 0 != 1$"):
+        shift(ops, vertex_signal)
 
 
 @pytest.mark.parametrize("down", [(), (1.0,)])

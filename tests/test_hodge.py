@@ -14,6 +14,7 @@ from hodgekit import (
     betti,
     boundary_matrix,
     build_complex,
+    eigendecompose,
     eigenvalues,
     gradient,
     harmonic_basis,
@@ -21,6 +22,7 @@ from hodgekit import (
     hodge_laplacian,
     hodge_spectrum,
     inner_product,
+    sft,
     transpose,
 )
 from hodgekit import generators as gen
@@ -58,6 +60,40 @@ def test_inner_product_shape_errors():
         inner_product(
             Cochain(1, [1, 2]), Cochain(1, [1, 2]), InnerProductWeights({1: [1, 1, 1]})
         )
+
+
+TORUS = CORPUS["torus7"]  # 7 vertices, 21 edges, 14 triangles
+
+
+def torus_basis():
+    return eigendecompose(hodge_laplacian(TORUS, 1).full, dimension=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hodge_decompose(Cochain(0, np.ones(21)), TORUS, 1), "cochain dimension 0 != 1"),
+        (lambda: hodge_decompose(Cochain(1, np.ones(7)), TORUS, 1), "cochain length 7 != 21"),
+        (lambda: sft(Cochain(2, np.ones(21)), torus_basis()), "cochain dimension 2 != 1"),
+        (lambda: sft(Cochain(1, np.ones(14)), torus_basis()), "cochain length 14 != 21"),
+        (lambda: gradient(TORUS, Cochain(1, np.ones(7))), "cochain dimension 1 != 0"),
+        (lambda: gradient(TORUS, Cochain(0, np.ones(21))), "cochain length 21 != 7"),
+        (lambda: inner_product(Cochain(1, np.ones(3)), Cochain(2, np.ones(3))), "cochain dimension 2 != 1"),
+        (lambda: inner_product(Cochain(1, np.ones(3)), Cochain(1, np.ones(4))), "cochain length 4 != 3"),
+    ],
+    ids=[f"{op}-{kind}" for op in ("decompose", "sft", "gradient", "inner_product") for kind in ("dim", "len")],
+)
+def test_operators_give_the_shared_cochain_message(call, message):
+    with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+        call()
+
+
+def test_weight_vectors_are_read_only():
+    """An operator's weight_vector is the weights' own array: a write would reach every later operator."""
+    w = InnerProductWeights({1: np.ones(21)})
+    with pytest.raises(ValueError, match="read-only"):
+        hodge_laplacian(TORUS, 1, w).weight_vector[0] = 99.0
+    assert w.vector(1, 21).tolist() == [1.0] * 21
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, "1", True, None])

@@ -347,6 +347,17 @@ def test_cli_filter(triangle_file, tmp_path, capsys):
     assert out == {"dim": 1, "values": [1.0, 2.0, 3.0]}
 
 
+def test_cli_filter_refuses_a_signal_of_another_dimension(tmp_path, capsys):
+    """On a 5-cycle a vertex signal has the edge count as its length; the dimension decides."""
+    cycle = write_json(tmp_path / "cycle.json", {"top_simplices": generators.cycle(5)})
+    signal = write_json(tmp_path / "s.json", {"dim": 0, "values": [-0.5, 4.0, 2.5, 3.0, 7.0]})
+    spec = write_json(tmp_path / "f.json", {"dim": 1, "alpha0": 0.5, "down": [1.0], "up": [1.0]})
+    assert main(["filter", cycle, signal, spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cochain dimension 0 != 1\n"
+
+
 def test_cli_filter_overflow_is_numerical_failure(triangle_file, tmp_path, capsys):
     signal = write_json(tmp_path / "s.json", {"dim": 1, "values": [1e300] * 3})
     spec = write_json(tmp_path / "f.json", {"dim": 1, "alpha0": 0, "down": [1e300, 1e300], "up": []})
