@@ -11,7 +11,9 @@ columns mod one prime, 2**61 - 1, over the rationals.  A difference between
 the GF(2) and rational Betti numbers is 2-torsion, not numerical trouble.
 GF(2) diagonal reduction works on bitset rows, with no dense copy; the check
 of its op logs, replay_gf2_ops, stays dense.  Tolerance-based real
-elimination serves real-valued matrices such as sheaf coboundaries.
+elimination serves real-valued matrices such as sheaf coboundaries: it runs on
+the orientation with fewer rows holding an entry, sparsest columns first, an
+order that can change a rank only at the tolerance edge.
 """
 
 from __future__ import annotations
@@ -55,22 +57,28 @@ def rank_gf2(m: SparseMatrix) -> RankProfile:
 def rank_real(m: SparseMatrix, tol: float | None = None) -> RankProfile:
     """Numerical rank by elimination with partial (max-magnitude) pivoting.
 
-    A pivot counts while its magnitude exceeds tol; the default tol is
-    1e-9 times the largest absolute entry of the input.  A NaN, infinite
-    or negative tol raises ValueError.  Only the columns with an entry, the first k
-    rows and the k rows with an entry are eliminated: pivot slots stay below k.
+    A pivot counts while its magnitude exceeds tol; the default tol is 1e-9 times the largest
+    absolute entry of the input.  A NaN, infinite or negative tol raises ValueError.  Only the
+    columns with an entry, the first k rows and the k rows with an entry are eliminated: pivot
+    slots stay below k.  The transpose is eliminated when more rows than columns hold an entry,
+    and columns go by ascending entry count, ties in column order (static Markowitz, for less
+    fill-in).  Orientation and order can change a rank only at the tolerance edge.
     """
     if m.field_tag is not Field.REAL:
         raise FieldMismatch("rank_real needs a real matrix")
     _check_tol(tol)
-    used, at = np.unique(m.col, return_inverse=True)  # (row, at) keeps m's sorted order
-    rows = m.row[np.diff(m.row, prepend=-1) != 0]  # m.row is sorted, so these are its distinct rows
+    axes = [np.unique(x, return_inverse=True, return_counts=True) for x in (m.row, m.col)]
+    if len(axes[0][0]) > len(axes[1][0]):  # eliminate m.T, which has fewer rows with an entry
+        axes.reverse()
+    (rows, row_at, _), (_, col_at, counts) = axes
     kept = np.concatenate([np.arange(len(rows)), rows[rows >= len(rows)]])  # sorted, as rows[i] >= i
-    a = SparseMatrix(len(kept), len(used), np.searchsorted(kept, m.row), at, m.data, Field.REAL).toarray()
+    place = np.argsort(np.argsort(counts, kind="stable"))  # each column's slot, sparsest first
+    a = np.zeros((len(kept), len(counts)))
+    a[np.searchsorted(kept, rows)[row_at], place[col_at]] = m.data
     if tol is None:
         tol = 1e-9 * np.max(np.abs(m.data), initial=0.0)
     rank = 0
-    for col in range(len(used)):
+    for col in range(len(counts)):
         pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
         if abs(a[pivot, col]) <= tol:
             continue

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodgekit import (
     Cochain,
@@ -32,7 +32,7 @@ from hodgekit import generators as gen
 from hodgekit import homology
 from hodgekit.cli import main
 from hodgekit.errors import FieldMismatch
-from hodgekit.sheaf import Assignment, check_consistency
+from hodgekit.sheaf import Assignment, Sheaf, check_consistency
 
 from conftest import (
     CORPUS,
@@ -106,6 +106,10 @@ def test_rank_real_of_a_map_with_no_entries_is_not_densified():
     assert rank_real(tall) == homology.RankProfile(2, 1, 3)
     gap = SparseMatrix.from_coo(huge, 3, [1, huge - 1, huge - 1], [0, 1, 2], [1.0, 2, 3], Field.REAL)
     assert rank_real(gap) == homology.RankProfile(2, 1, 3)
+    # Entries in three rows and two columns, column 1 twice column 0: the transpose is eliminated.
+    rows = [1, 1, 5, 5, huge - 1, huge - 1]
+    tall_rows = SparseMatrix.from_coo(huge, 3, rows, [0, 1] * 3, [1.0, 2, 3, 6, -2, -4], Field.REAL)
+    assert rank_real(tall_rows) == homology.RankProfile(1, 2, 3)
 
 
 def test_rank_field_checks():
@@ -328,7 +332,8 @@ def test_betti_fields_agree_on_random_complexes():
 
 
 # Reference kernels: the full-row eliminations that the row-restricted kernels
-# replaced, kept verbatim.  Both must take the same pivot decisions.
+# replaced, kept verbatim but for the real kernel's documented order.  Both must
+# take the same pivot decisions.
 
 
 def reference_rank_gf2(m: SparseMatrix) -> homology.RankProfile:
@@ -364,8 +369,13 @@ def reference_rank_real(m: SparseMatrix, tol: float | None = None) -> homology.R
         return homology.RankProfile(0, cols, cols)
     if tol is None:
         tol = 1e-9 * scale
+    # rank_real's order: the transpose when more rows than columns hold an entry, then
+    # the columns by ascending entry count, ties in column order.
+    if np.count_nonzero(a.any(axis=1)) > np.count_nonzero(a.any(axis=0)):
+        a = a.T
+    a = a[:, np.argsort(np.count_nonzero(a, axis=0), kind="stable")]
     rank = 0
-    for col in range(cols):
+    for col in range(a.shape[1]):
         pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
         if abs(a[pivot, col]) <= tol:
             continue
@@ -374,7 +384,7 @@ def reference_rank_real(m: SparseMatrix, tol: float | None = None) -> homology.R
         factors = a[rank + 1 :, col] / a[rank, col]
         a[rank + 1 :] -= np.outer(factors, a[rank])
         rank += 1
-        if rank == rows:
+        if rank == len(a):
             break
     return homology.RankProfile(rank, cols - rank, cols)
 
@@ -456,11 +466,26 @@ def gf2_matrices(draw):
     return SparseMatrix.from_dense(dense, Field.GF2)
 
 
+# Near-tolerance matrices, with their ranks, whose rank depends on the elimination order:
+# HI and LO lie just above and just below the default tolerance 1e-9 * max|a|.  The natural
+# column order ranks the 2 x 2 as 2, sparsest first as 1; the 3 x 2 is 1 as given, 2 transposed.
+HI, LO = 1e-9 * (1 + 1e-6), 1e-9 * (1 - 1e-6)
+ORDER_EDGES = [
+    (SparseMatrix.from_dense(np.array([[LO, 0.0], [HI, 1.0]]), Field.REAL), 1),
+    (SparseMatrix.from_dense(np.array([[-HI, 0.0], [0.0, LO], [1.0, -HI]]), Field.REAL), 2),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=real_matrices(), tol=st.sampled_from([None, 0.0, 1e-6]))
+@example(m=ORDER_EDGES[0][0], tol=None)
+@example(m=ORDER_EDGES[1][0], tol=None)
 def test_rank_real_matches_reference_elimination(m, tol):
     assert rank_real(m, tol) == reference_rank_real(m, tol)
     assert rank_real(transpose(m), tol) == reference_rank_real(transpose(m), tol)
+    # Unequal counts of rows and columns with an entry: both calls run one elimination.
+    if len(np.unique(m.row)) != len(np.unique(m.col)):
+        assert rank_real(m, tol).rank == rank_real(transpose(m), tol).rank
 
 
 @settings(max_examples=150, deadline=None)
@@ -508,6 +533,16 @@ def test_rational_kernel_is_exact_on_integer_matrices(case):
     assert homology._ranks([transpose(m)], Field.REAL) == [expected]
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=integer_matrices(), seed=st.integers(0, 2**32 - 1))
+def test_rank_real_order_does_not_move_exact_ranks(case, seed):
+    """Far from the tolerance, orientation and column order leave the rank exact."""
+    a, m = case
+    shuffled = a[:, np.random.default_rng(seed).permutation(a.shape[1])]
+    permuted = SparseMatrix.from_dense(shuffled.astype(np.float64), Field.REAL)
+    assert rank_real(permuted).rank == rank_real(transpose(m)).rank == fraction_rank(a)
+
+
 def test_rank_real_tolerance_edge_known_answers():
     nearly_singular = SparseMatrix.from_dense(np.array([[1, 1], [1, 1 + 1e-10]]), Field.REAL)
     assert rank_real(nearly_singular).rank == 1
@@ -516,6 +551,34 @@ def test_rank_real_tolerance_edge_known_answers():
     for factor, rank in ((1 - 1e-6, 1), (1.0, 1), (1 + 1e-6, 2)):
         m = SparseMatrix.from_dense(np.diag([1e3, 1e3 * 1e-9 * factor]), Field.REAL)
         assert rank_real(m).rank == rank == reference_rank_real(m).rank
+    for m, rank in ORDER_EDGES:
+        assert rank_real(m).rank == rank == reference_rank_real(m).rank
+
+
+def o3_gauge_sheaf(c, rng: np.random.Generator) -> Sheaf:
+    """Stalks R^3; the map from face s to coface t is g_t g_s^T for seeded orthogonal g."""
+    gauge = {}
+    for n in range(c.max_dim + 1):
+        for s in c.simplices(n):
+            q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+            gauge[s] = q * np.sign(np.diag(r))
+    maps = {
+        (face, t): gauge[t] @ gauge[face].T
+        for n in range(1, c.max_dim + 1)
+        for t in c.simplices(n)
+        for face in t.faces()
+    }
+    return Sheaf(c, dict.fromkeys(gauge, 3), maps)
+
+
+@pytest.mark.parametrize("seed, n_vertices", [(1, 30), (2, 35), (3, 40)])
+def test_gauge_sheaf_cohomology_known_answers(seed, n_vertices):
+    """A gauge sheaf is conjugate to the constant sheaf R^3, so H^n has dimension 3 b_n.
+    Its coboundaries have hundreds of columns, where the elimination order matters."""
+    rng = np.random.default_rng(seed)
+    c = random_clique_complex(rng, n_vertices, 0.25, max_dim=2)
+    sh = o3_gauge_sheaf(c, rng)
+    assert sheaf_cohomology_dims(c, sh) == [3 * b for b in betti(c, Field.REAL)]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
